@@ -15,18 +15,19 @@ regimes that span the serving envelope:
   worst case.
 
 Each execution mode (reference ``ta``, ``blockmax``, ``scan``,
-planner-selected ``auto``, and the batched ``topk_many``) runs the
-whole workload against its own freshly-built posting arrays, so every
-mode pays its own materialisation once and amortises it across the
-queries — exactly the cache behaviour of the serving engines, for the
-legacy path (lazy random-access dicts) and the kernel (column views)
-alike.
+uncalibrated ``auto`` — which runs ``scan`` — and the batched
+``topk_many``) runs the whole workload against its own freshly-built
+posting arrays, so every mode pays its own materialisation once and
+amortises it across the queries — exactly the cache behaviour of the
+serving engines, for the legacy path (lazy random-access dicts) and
+the kernel (column views) alike.
 
-Assertions: the planner-selected strategy is ≥ 3× faster than the
-reference round-robin TA over the multi-term workload (skipped under
-``REPRO_BENCH_TINY=1``, where fixed costs dominate), and every mode's
-rankings — document ids, floating-point scores, tiebreak order — are
-byte-identical to the reference TA *and* to the exhaustive oracle.
+Assertions: ``auto`` runs ``scan`` on every query and is ≥ 3× faster
+than the reference round-robin TA over the multi-term workload
+(skipped under ``REPRO_BENCH_TINY=1``, where fixed costs dominate),
+and every mode's rankings — document ids, floating-point scores,
+tiebreak order — are byte-identical to the reference TA *and* to the
+exhaustive oracle.
 Timings land in ``benchmarks/results/BENCH_search.json``.
 
 Regret methodology
@@ -307,12 +308,11 @@ def test_search_kernel_speedup(benchmark):
     report("search", "\n".join(lines))
     persist_summary("search", results)
 
-    # The planner must exercise both vectorized strategies across the
-    # workload (small-k → blockmax, large-k → scan).
-    assert {"blockmax", "scan"} <= set(results["planner_choices"].values())
+    # Uncalibrated auto runs the scan on every query.
+    assert set(results["planner_choices"].values()) == {"scan"}
     if TINY:
         return  # fixed costs dominate at smoke sizes; parity checked above
-    # Headline claim: the planner-selected strategy beats the legacy
+    # Headline claim: the default strategy beats the legacy
     # round-robin TA ≥3x on the multi-term workload (measured ≈4–6x;
     # the floor leaves headroom for noisy shared runners).
     assert speedups["auto"] >= 3.0, speedups["auto"]

@@ -146,8 +146,8 @@ def _strategy_parent() -> argparse.ArgumentParser:
         help="top-k execution strategy: 'ta' is the reference "
         "round-robin Threshold Algorithm, 'blockmax' the block-at-a-"
         "time vectorized TA, 'scan' the full vectorized scan, and "
-        "'auto' (default) lets the selectivity planner pick per query; "
-        "all strategies return byte-identical rankings",
+        "'auto' (default) runs 'scan' unless a calibrated planner "
+        "is attached; all strategies return byte-identical rankings",
     )
     return parent
 
@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print the planner's decision per query: strategy run, "
-        "deciding tier (memory/model/heuristic/merged), true vs "
+        "deciding tier (memory/model/default/merged), true vs "
         "visible list lengths, predicted costs and hot-combination "
         "support",
     )
@@ -358,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="attach a calibrated planner model (from `repro planner "
-        "fit`) so 'auto' uses the fitted cost model instead of the "
-        "static selectivity rule; with --from-store, a model persisted "
+        "fit`) so 'auto' uses the fitted cost model instead of always "
+        "running 'scan'; with --from-store, a model persisted "
         "in the store attaches automatically",
     )
     search.add_argument(
@@ -477,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="timed rows per strategy before the cost model fits "
-        "(below this, 'auto' keeps the static heuristic)",
+        "(below this, 'auto' runs 'scan')",
     )
     fit.add_argument(
         "--hot-support",
@@ -885,8 +885,8 @@ def _run_search(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[T
     if engine.planner is None and (args.explain or args.log_queries):
         # --explain / --log-queries imply planner machinery even without
         # a pre-fitted model (explicit, or persisted in the store):
-        # decisions fall back to the heuristic tier and every execution
-        # is logged for a later `planner fit`.
+        # decisions fall back to 'scan' (the default tier) and every
+        # execution is logged for a later `planner fit`.
         engine.planner = CalibratedPlanner()
     strategies = (
         ("ta", "blockmax", "scan", "auto") if args.compare else (args.strategy,)
@@ -957,8 +957,7 @@ def _print_explanation(engine, query: str, stats, k: int) -> None:
     info = engine.planner.explain(lists, k=k, terms=terms)
     print(
         f"    explain: visible lengths {info['visible_lengths']}, "
-        f"true lengths {info['true_lengths']}, "
-        f"heuristic would pick {info['heuristic']!r}"
+        f"true lengths {info['true_lengths']}"
     )
     predicted = info.get("predicted_cost")
     if predicted:
@@ -1403,7 +1402,7 @@ def _run_planner(args: argparse.Namespace) -> None:
                 "fitted"
                 if fitted
                 else f"cold (needs >= {args.min_samples} samples per "
-                "strategy; 'auto' falls back to the static heuristic)"
+                "strategy; 'auto' runs 'scan' until then)"
             )
         )
         hot = planner.hot_combinations(5)

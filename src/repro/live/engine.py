@@ -99,8 +99,8 @@ class LiveSearchEngine:
             the compacted columnar base directly, whereas serving a
             lazy merge view would re-materialise the whole list on
             every query — strictly more work than compacting once.
-        strategy: Default top-k execution strategy (``auto`` lets the
-            planner pick per query; see :mod:`repro.search.topk`).
+        strategy: Default top-k execution strategy (``auto`` is
+            ``scan`` without a planner; see :mod:`repro.search.topk`).
             Strategies are byte-identical in output, so the result
             cache is shared across them.
         planner: Optional :class:`~repro.search.planner.

@@ -17,7 +17,6 @@ from repro.search.topk import (
     TopKStats,
     blockmax_topk,
     normalize_query_terms,
-    plan_strategy,
     scan_topk,
     topk,
     topk_many,
@@ -62,7 +61,6 @@ __all__ = [
     "exhaustive_topk",
     "log_relevance",
     "normalize_query_terms",
-    "plan_strategy",
     "raw_relevance",
     "scan_topk",
     "threshold_topk",

@@ -329,11 +329,11 @@ class BurstySearchEngine(_PatternEngineBase):
         aggregate: Aggregation of overlapping-pattern scores
             (default max, the paper's best).
         precompute: Build all posting lists up front (default).
-        strategy: Default top-k execution strategy (``auto`` lets the
-            planner pick per query; see :mod:`repro.search.topk`).
+        strategy: Default top-k execution strategy (``auto`` is
+            ``scan`` without a planner; see :mod:`repro.search.topk`).
         planner: Optional :class:`~repro.search.planner.
-            CalibratedPlanner` used by ``auto`` queries in place of the
-            static selectivity rule (and for hot-combination serving).
+            CalibratedPlanner` that plans ``auto`` queries (and serves
+            hot combinations).
     """
 
     def __init__(
@@ -576,8 +576,8 @@ class TemporalSearchEngine(_PatternEngineBase):
         detector: Temporal burst detector for the merged sequences.
         relevance: Per-term relevance function.
         aggregate: Aggregation over overlapping temporal patterns.
-        strategy: Default top-k execution strategy (``auto`` plans per
-            query).
+        strategy: Default top-k execution strategy (``auto`` runs
+            ``scan`` unless a planner is attached).
         planner: Optional calibrated planner for ``auto`` queries.
     """
 

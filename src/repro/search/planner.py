@@ -1,15 +1,14 @@
 """Calibrated query planner: cost model + hot-combination mining.
 
-:func:`~repro.search.topk.plan_strategy` picks ``blockmax`` vs ``scan``
-from two hand-tuned constants.  That rule is cheap but measurably
-wrong on some regimes — anti-correlated lists share the *feature*
-vector of ambient lists (same lengths, same ``k``) while having the
-opposite best strategy, so no static function of those features can be
-right on both.  `BENCH_search.json` showed ``auto`` reaching only
-~1.36x vs the reference TA while ``scan`` alone reached 6.1x.
-
-This module replaces the static rule with a planner that learns from
-its own query log, in three tiers (first applicable wins):
+Without a planner, ``auto`` runs ``scan`` (see :mod:`repro.search.topk`):
+on the serving benchmarks it is the fastest strategy for nearly every
+query.  This opt-in planner instead picks ``blockmax`` vs ``scan`` per
+query from its own query log, for workloads where deep, selective
+lists make ``blockmax``'s early termination pay.  No static function
+of list lengths and ``k`` can make that call: anti-correlated lists
+share the *feature* vector of ambient lists (same lengths, same
+``k``) while having the opposite best strategy.  The planner decides
+in three tiers (first applicable wins):
 
 1. **term-set memory** — once both candidate strategies have timed
    samples for an exact (normalized) term set, pick the empirically
@@ -22,9 +21,9 @@ its own query log, in three tiers (first applicable wins):
 3. **cost model** — per-strategy linear least squares over O(1)
    features (totals of true/visible lengths, shortest visible list,
    ``k``, term count) fitted from the log; predict each candidate's
-   cost and take the argmin.  Falls back to the static heuristic while
-   the log is cold (fewer than ``min_samples`` timed rows per
-   strategy).
+   cost and take the argmin.  While the log is cold (fewer than
+   ``min_samples`` timed rows per strategy) the planner falls back to
+   ``scan``, the uncalibrated default.
 
 Orthogonally, the planner mines the log for **hot term combinations**
 (the TPF-log pattern-extraction insight: the query log is itself a
@@ -68,7 +67,7 @@ import numpy as np
 from repro.errors import SearchError
 from repro.search.inverted_index import PostingList
 from repro.search.threshold_algorithm import TopKResult
-from repro.search.topk import plan_strategy, scan_topk, true_length
+from repro.search.topk import Ranking, scan_ranking, true_length
 
 __all__ = [
     "CANDIDATES",
@@ -326,7 +325,7 @@ class CalibratedPlanner:
 
     Args:
         min_samples: Timed rows per strategy before the cost model may
-            be fitted (below this the static heuristic rules).
+            be fitted (below this ``auto`` runs ``scan``).
         hot_support: Queries over the same term set before its merged
             ranking is pre-materialised.  ``0`` disables mining.
         max_merged: Bound on cached merged rankings (LRU eviction).
@@ -369,7 +368,7 @@ class CalibratedPlanner:
         # terms -> times seen by the planner (hot-combination support)
         self._support: Dict[Tuple[str, ...], int] = {}
         # terms -> (version token, full merged ranking); LRU order
-        self._merged: "OrderedDict[Tuple[str, ...], Tuple[Hashable, Tuple[TopKResult, ...]]]" = (
+        self._merged: "OrderedDict[Tuple[str, ...], Tuple[Hashable, Ranking]]" = (
             OrderedDict()
         )
         self._since_fit = 0
@@ -387,7 +386,8 @@ class CalibratedPlanner:
         """Choose a strategy; returns ``(strategy, source)``.
 
         ``source`` is the tier that decided: ``"memory"``,
-        ``"explore"``, ``"model"`` or ``"heuristic"``.
+        ``"explore"``, ``"model"`` or ``"default"`` (cold log:
+        ``scan``).
         """
         strategy, source = self._decide(lists, k, terms)
         self.last_decision = {
@@ -425,7 +425,7 @@ class CalibratedPlanner:
             visible = [len(posting_list) for posting_list in lists]
             true = [true_length(posting_list) for posting_list in lists]
             return self.model.choose(visible, true, k), "model"
-        return plan_strategy(lists, k), "heuristic"
+        return "scan", "default"
 
     @staticmethod
     def _memory_best(samples: Dict[str, List[float]]) -> str:
@@ -526,19 +526,20 @@ class CalibratedPlanner:
         if entry is not None and entry[0] == token:
             self._merged.move_to_end(terms)
             self.merged_hits += 1
-            return list(entry[1][: min(k, len(entry[1]))])
+            doc_ids, scores = entry[1]
+            return list(map(TopKResult, doc_ids[:k], scores[:k]))
         if entry is not None:
             del self._merged[terms]
         if support < self.hot_support:
             return None
         total_visible = sum(len(posting_list) for posting_list in lists)
-        ranked, _ = scan_topk(lists, max(1, total_visible))
-        self._merged[terms] = (token, tuple(ranked))
+        (doc_ids, scores), _ = scan_ranking(lists, max(1, total_visible))
+        self._merged[terms] = (token, (doc_ids, scores))
         self._merged.move_to_end(terms)
         while len(self._merged) > self.max_merged:
             self._merged.popitem(last=False)
         self.merged_builds += 1
-        return list(ranked[: min(k, len(ranked))])
+        return list(map(TopKResult, doc_ids[:k], scores[:k]))
 
     def invalidate_merged(self) -> None:
         """Drop every cached merged ranking (e.g. after a restore).
@@ -579,7 +580,6 @@ class CalibratedPlanner:
             "features": _features(visible, true, k),
             "strategy": strategy,
             "source": source,
-            "heuristic": plan_strategy(lists, k),
             "model_fitted": self.model.fitted,
             "support": self._support.get(terms, 0),
             "merged_cached": entry is not None,

@@ -10,20 +10,19 @@ segments, that work is the serving-path bottleneck.
 
 This module is the columnar counterpart: three interchangeable
 strategies that return **byte-identical rankings** (same documents,
-same floating-point scores, same deterministic tiebreak order), picked
-per query by a selectivity-based planner.
+same floating-point scores, same deterministic tiebreak order).
+``auto`` runs ``scan``; an attached :class:`~repro.search.planner.
+CalibratedPlanner` may pick ``blockmax`` instead.
 
-* ``ta`` — the reference round-robin Threshold Algorithm, unchanged.
+* ``scan`` — a full vectorized scan: the shortest list's sorted doc-id
+  index drives the intersection, scores are masked and summed in one
+  shot, and a partial select cuts survivors to the k-th total.
 * ``blockmax`` — block-at-a-time TA: sorted accesses are consumed in
   array blocks, the stopping threshold is bounded by each block's final
   (minimum) score, and newly-seen candidates resolve their full
   aggregates in one vectorized gather per list against a precomputed
   doc-id→row index instead of per-document dict probes.
-* ``scan`` — a full vectorized scan: candidate document ids are
-  intersected against every list's random-access column and the
-  per-list score columns are masked and summed in one shot.  No early
-  termination, but also no per-depth bookkeeping — it wins when lists
-  are short or ``k`` is a large fraction of the shortest list.
+* ``ta`` — the reference round-robin Threshold Algorithm, unchanged.
 
 Exactness notes:
 
@@ -83,7 +82,7 @@ __all__ = [
     "TopKStats",
     "blockmax_topk",
     "normalize_query_terms",
-    "plan_strategy",
+    "scan_ranking",
     "scan_topk",
     "topk",
     "topk_many",
@@ -97,15 +96,6 @@ STRATEGIES = ("auto", "ta", "blockmax", "scan")
 #: that per-round kernel-dispatch overhead amortises, small enough that
 #: overshooting TA's exact stopping depth stays cheap.
 DEFAULT_BLOCK = 1024
-
-#: Below this many total visible postings the scan's single pass beats
-#: any per-depth bookkeeping (kernel launch costs dominate).
-SCAN_TOTAL_CUTOFF = 2048
-
-#: TA-style early termination must descend at least ~k into the
-#: shortest list before the threshold can fall under the k-th score;
-#: when k is within this factor of that list, scan the lot instead.
-SCAN_K_FACTOR = 4
 
 _MISSING = object()
 
@@ -132,11 +122,13 @@ class TopKStats:
             ``"merged"`` means the query was answered from a
             pre-materialised hot-combination ranking (see
             :mod:`repro.search.planner`) without running any strategy.
-        planned: True when a planner chose the strategy.
+        planned: True for ``auto`` (the strategy was resolved, not
+            named by the caller).
         sorted_accesses: Postings consumed through sorted access.
         source: How the strategy was chosen — ``"explicit"`` (caller
-            named it), ``"heuristic"`` (the static selectivity rule),
-            or a :class:`~repro.search.planner.CalibratedPlanner` tier
+            named it), ``"default"`` (``auto`` without a calibrated
+            planner, or with a cold one: ``scan``), or a
+            :class:`~repro.search.planner.CalibratedPlanner` tier
             (``"memory"``, ``"model"``, ``"explore"``, ``"merged"``).
         degraded_terms: Query terms whose posting columns were
             quarantined by degraded-mode serving (empty outside
@@ -280,16 +272,16 @@ class _Columns:
 
     For a non-pruned :class:`~repro.columnar.postings.PostingArray`
     the random-access relation *is* the sorted columns, so the index
-    is one ``argsort`` over the int64 id keys — no dict is ever built.
-    Pruned lists (random access outlives sorted visibility) and
-    non-integer ids fall back to the list's random-access dict.
+    is one ``argsort`` over the int64 id keys (kept as ``_map_order``,
+    key slot → rank) — no dict is ever built.  Pruned lists (random
+    access outlives sorted visibility) and non-integer ids fall back to
+    the list's random-access dict.
 
     A :class:`~repro.columnar.postings.PackedPostingArray` keeps its
     score/tiebreak columns *packed*: ``scores``/``ties`` become lazy
-    block-decoding views, and the random-access index keeps the argsort
-    permutation (``_map_order``) instead of a gathered score column, so
-    gathers decode only the blocks that hold actual hits.  Strategies
-    that touch every posting anyway (:func:`scan_topk`) call
+    block-decoding views and the index has no gathered score column,
+    so gathers decode only the blocks that hold actual hits.
+    Strategies that touch every posting anyway (:func:`scan_topk`) call
     :meth:`densify` first.
     """
 
@@ -297,12 +289,12 @@ class _Columns:
         "ids",
         "scores",
         "ties",
-        "keys",
         "exact",
         "map_is_columns",
         "_plist",
         "_packed",
         "_by_doc",
+        "_keys",
         "_map_keys",
         "_map_scores",
         "_map_order",
@@ -339,15 +331,16 @@ class _Columns:
                 )
         self._plist = posting_list
         self._by_doc: Optional[Dict[Hashable, float]] = None
-        self.keys = _int_keys(self.ids)
-        self.exact = self.keys is not None
+        keys = _int_keys(self.ids)
+        self._keys = keys
+        self.exact = keys is not None
         self.map_is_columns = False
         self._map_keys: Optional[np.ndarray] = None
         self._map_scores: Optional[np.ndarray] = None
         self._map_order: Optional[np.ndarray] = None
-        if self.exact and self._columns_are_map():
-            order = np.argsort(self.keys, kind="stable")
-            map_keys = self.keys[order]
+        if keys is not None and self._columns_are_map():
+            order = np.argsort(keys, kind="stable")
+            map_keys = keys[order]
             if map_keys.size and bool(np.any(map_keys[1:] == map_keys[:-1])):
                 # Duplicate ids inside one list: dict semantics keep the
                 # *last* sorted occurrence — delegate to the dict.
@@ -355,12 +348,13 @@ class _Columns:
             else:
                 self.map_is_columns = True
                 self._map_keys = map_keys
-                if source is not None:
-                    # Keep the permutation; gathers resolve hit slots
-                    # through block-granular decode instead of a dense
-                    # gathered copy.
-                    self._map_order = order
-                else:
+                self._map_order = order
+                # Rank-order keys: the scan never reads them (rebuilt
+                # on demand for blockmax and the union scan).
+                self._keys = None
+                if source is None:
+                    # Packed lists skip the gathered copy: their gathers
+                    # resolve hit slots through block-granular decode.
                     self._map_scores = self.scores[order]
         elif self.exact:
             # Pruned list: random access answers beyond the visible
@@ -392,6 +386,15 @@ class _Columns:
             return lazy is None or len(lazy) == len(self.ids)
         by_doc = getattr(posting_list, "_by_doc", None)
         return isinstance(by_doc, dict) and len(by_doc) == len(self.ids)
+
+    @property
+    def keys(self) -> Optional[np.ndarray]:
+        """The ids as ``int64`` keys in rank order (``None`` unless ints)."""
+        if self._keys is None and self._map_order is not None:
+            keys = np.empty_like(self._map_keys)
+            keys[self._map_order] = self._map_keys
+            self._keys = keys
+        return self._keys
 
     @property
     def by_doc(self) -> Dict[Hashable, float]:
@@ -489,15 +492,15 @@ def _aggregate(
 
     Per-list contributions are added in list order starting from
     ``0.0`` — the bit-exact order of the reference ``_full_score``.
-    When ``driver`` names the list the candidates were sliced from, its
-    scores are taken straight from its aligned column.
+    When ``driver`` names the list whose sorted keys *are* the
+    candidates, its map-score column is added directly.
     """
     n = len(cand_ids) if cand_keys is None else int(cand_keys.size)
     totals = np.zeros(n)
     keep = np.ones(n, dtype=bool)
     for index, col in enumerate(cols):
         if driver is not None and index == driver:
-            totals = totals + cols[driver].scores
+            totals = totals + col._map_scores
             continue
         scores, found = col.gather(cand_ids, cand_keys)
         keep &= found
@@ -505,28 +508,42 @@ def _aggregate(
     return totals, keep
 
 
-def _ranked_results(
-    cand_ids: Sequence[Hashable],
+#: Parallel lists of document ids and aggregate scores, best first.
+Ranking = Tuple[List[Hashable], List[float]]
+
+
+def _ranked(
+    ids: Sequence[Hashable],
     totals: np.ndarray,
     ties: np.ndarray,
     keep: np.ndarray,
     k: int,
-) -> List[TopKResult]:
-    """Top-k of the surviving candidates by ``(-score, tiebreak)``."""
+    order: Optional[np.ndarray] = None,
+) -> Ranking:
+    """Top-k of the surviving candidates by ``(-score, tiebreak, rank)``.
+
+    Candidate ``i`` scores ``totals[i]``; its id and tiebreak sit at
+    rank ``order[i]`` of ``ids``/``ties`` (rank ``i`` without ``order``).
+    A partial select first drops survivors below the k-th total, keeping
+    ties at the cut; a NaN cut (fewer than ``k`` comparable totals)
+    sorts them all.
+    """
     kept = np.nonzero(keep)[0]
+    if kept.size > k:
+        cut = -np.partition(-totals[kept], k - 1)[k - 1]
+        if not np.isnan(cut):
+            kept = kept[totals[kept] >= cut]
     if kept.size == 0:
-        return []
-    order = np.lexsort((ties[kept], -totals[kept]))
-    top = kept[order[: min(k, kept.size)]]
-    return [
-        TopKResult(doc_id=cand_ids[index], score=float(totals[index]))
-        for index in top.tolist()
-    ]
+        return [], []
+    rank = kept if order is None else order[kept]
+    top = np.lexsort((rank, ties[rank], -totals[kept]))[:k]
+    doc_ids = [ids[position] for position in rank[top].tolist()]
+    return doc_ids, totals[kept[top]].tolist()
 
 
 def _single_prefix_topk(
     posting_list: PostingList, k: int
-) -> Optional[Tuple[List[TopKResult], int]]:
+) -> Optional[Tuple[Ranking, int]]:
     """Single-list scan shortcut: the ranking is a column prefix.
 
     A lone query term aggregates to its own scores, and the columns
@@ -549,15 +566,13 @@ def _single_prefix_topk(
     if lazy is not _MISSING and lazy is not None and len(lazy) != length:
         return None  # pruned: random access knows more than the columns
     if length == 0:
-        return [], 0
+        return ([], []), 0
     ids, scores, ties = prefix_columns(min(k, length))
     # Matches _aggregate's sum-from-zero (0.0 + s normalises -0.0).
     totals = np.zeros(len(ids)) + np.asarray(scores, dtype=float)
     keep = np.ones(len(ids), dtype=bool)
-    results = _ranked_results(
-        ids, totals, np.asarray(ties, dtype="<i8"), keep, k
-    )
-    return results, length
+    ranking = _ranked(ids, totals, np.asarray(ties, dtype="<i8"), keep, k)
+    return ranking, length
 
 
 # ----------------------------------------------------------------------
@@ -566,17 +581,29 @@ def _single_prefix_topk(
 def scan_topk(
     lists: Sequence[PostingList], k: int
 ) -> Tuple[List[TopKResult], int]:
-    """Exhaustive top-k in one vectorized pass.
+    """Exhaustive top-k in one vectorized pass; see :func:`scan_ranking`.
+
+    Returns ``(results, sorted_accesses)``.
+    """
+    (doc_ids, scores), accesses = scan_ranking(lists, k)
+    return list(map(TopKResult, doc_ids, scores)), accesses
+
+
+def scan_ranking(
+    lists: Sequence[PostingList], k: int
+) -> Tuple[Ranking, int]:
+    """:func:`scan_topk`'s ranking as parallel id/score lists.
 
     When no list is pruned, every surviving document must appear in the
-    *shortest* list's column, which therefore drives the intersection
-    directly — no candidate union is ever materialised.  Pruned or
+    *shortest* list, whose doc-id-sorted index therefore drives the
+    intersection directly — no candidate union is ever materialised,
+    and the other lists are probed with sorted keys.  Pruned or
     non-integer-id inputs fall back to deduplicating the union of
     visible ids first.  A single unpruned duplicate-free list resolves
     as a column prefix (the columns are already in ranking order)
     without touching the rest of the list at all.  Returns
-    ``(results, sorted_accesses)`` where the access count is the total
-    visible postings scanned.
+    ``(ranking, sorted_accesses)`` where the access count is the total
+    visible postings scanned; long rankings stay cheap in this form.
     """
     _validate(lists, k)
     if len(lists) == 1:
@@ -590,14 +617,18 @@ def scan_topk(
         col.densify()
     accesses = sum(len(col) for col in cols)
     if accesses == 0:
-        return [], 0
+        return ([], []), 0
     if all(col.map_is_columns for col in cols):
         # Fast path: visible columns == random-access relation for all
-        # lists, so survivors ⊆ every list ⊆ the smallest list.
+        # lists, so survivors ⊆ every list ⊆ the smallest list, whose
+        # ranks break full-key ties as a rank-order scan would.
         driver = min(range(len(cols)), key=lambda index: len(cols[index]))
-        col = cols[driver]
-        totals, keep = _aggregate(cols, col.ids, col.keys, driver=driver)
-        return _ranked_results(col.ids, totals, col.ties, keep, k), accesses
+        lead = cols[driver]
+        totals, keep = _aggregate(cols, (), lead._map_keys, driver=driver)
+        ranking = _ranked(
+            lead.ids, totals, lead.ties, keep, k, order=lead._map_order
+        )
+        return ranking, accesses
     if all(col.exact for col in cols):
         cat_keys = np.concatenate([col.keys for col in cols])
         cat_ties = np.concatenate([col.ties for col in cols])
@@ -624,7 +655,7 @@ def scan_topk(
         cand_keys = None
 
     totals, keep = _aggregate(cols, cand_ids, cand_keys)
-    return _ranked_results(cand_ids, totals, cand_ties, keep, k), accesses
+    return _ranked(cand_ids, totals, cand_ties, keep, k), accesses
 
 
 class _LazyIds:
@@ -776,40 +807,8 @@ def blockmax_topk(
 
 
 # ----------------------------------------------------------------------
-# Planner + dispatch
+# Dispatch
 # ----------------------------------------------------------------------
-def plan_strategy(lists: Sequence[PostingList], k: int) -> str:
-    """Pick ``blockmax`` or ``scan`` from cheap per-list statistics.
-
-    The static fallback rule — used when no calibrated
-    :class:`~repro.search.planner.CalibratedPlanner` is attached, or
-    when its query log is still cold.  The inputs are the visible and
-    :func:`true_length` list lengths, ``k`` and the number of terms —
-    all O(1) per list.  The decision rule (documented in the README's
-    performance model):
-
-    * tiny total work (≤ ``SCAN_TOTAL_CUTOFF`` postings in the *full*
-      random-access relations — what the scan actually touches; the
-      visible prefix under-counts pruned lists): the scan's single
-      pass beats any per-block bookkeeping;
-    * ``k`` within ``SCAN_K_FACTOR``× of the shortest *visible* list
-      (sorted access is what terminates): TA-style early termination
-      cannot stop meaningfully before the scan would have finished
-      anyway (the k-th aggregate needs ~k postings of every list
-      before it can beat the threshold);
-    * otherwise: deep lists and selective ``k`` — block-max TA's early
-      termination pays.
-    """
-    _validate(lists, k)
-    visible = [len(posting_list) for posting_list in lists]
-    total = sum(true_length(posting_list) for posting_list in lists)
-    if total <= SCAN_TOTAL_CUTOFF:
-        return "scan"
-    if k * SCAN_K_FACTOR >= min(visible):
-        return "scan"
-    return "blockmax"
-
-
 def topk(
     lists: Sequence[PostingList],
     k: int,
@@ -824,17 +823,17 @@ def topk(
     Args:
         lists: One posting list per (deduplicated) query term.
         k: Number of results.
-        strategy: ``auto`` (planner-selected), ``ta``, ``blockmax`` or
-            ``scan``.  All strategies return byte-identical rankings;
-            only the execution cost differs.
+        strategy: ``auto``, ``ta``, ``blockmax`` or ``scan``.  ``auto``
+            runs ``scan`` unless a calibrated ``planner`` decides.  All
+            strategies return byte-identical rankings; only the
+            execution cost differs.
         block: Sorted accesses per list per round for ``blockmax``.
         planner: Optional :class:`~repro.search.planner.
-            CalibratedPlanner`.  With ``strategy="auto"`` it replaces
-            the static :func:`plan_strategy` rule (falling back to it
-            while its log is cold) and may answer straight from a
-            pre-materialised hot-combination ranking.  Explicit
-            strategies are still *observed* — their timings feed the
-            planner's calibration.
+            CalibratedPlanner`.  With ``strategy="auto"`` it picks
+            ``blockmax`` or ``scan`` per query (``scan`` while its log
+            is cold) and may answer straight from a pre-materialised
+            hot-combination ranking.  Explicit strategies are still
+            *observed* — their timings feed the planner's calibration.
         terms: The normalized query-term tuple, used by the planner
             for per-term-set memory and hot-combination mining.
         token: Version token for ``terms``' posting lists; the
@@ -867,8 +866,7 @@ def topk(
                     )
             resolved, source = planner.plan(lists, k, terms)
         else:
-            resolved = plan_strategy(lists, k)
-            source = "heuristic"
+            resolved, source = "scan", "default"
     else:
         resolved = strategy
     start = planner.clock() if planner is not None else 0.0
@@ -907,11 +905,10 @@ def topk_many(
 ) -> List[Tuple[List[TopKResult], TopKStats]]:
     """Batched :func:`topk` over a query workload.
 
-    Every distinct posting list's columnar view (score/tiebreak arrays
-    plus the doc-id→row index) is materialised exactly once and shared
-    by every query that references it — the per-term materialisation
-    cost is amortised across the workload instead of being paid per
-    query.
+    Every distinct posting list of a multi-term query has its columnar
+    view (score/tiebreak arrays plus the doc-id→row index) materialised
+    exactly once and shared by every query that references it; a
+    single-term ``scan`` reads only its column prefix.
 
     Args:
         queries: One posting-list sequence per query.
@@ -929,6 +926,8 @@ def topk_many(
     """
     warmed = set()
     for lists in queries:
+        if len(lists) < 2:
+            continue
         for posting_list in lists:
             if id(posting_list) not in warmed:
                 warmed.add(id(posting_list))

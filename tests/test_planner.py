@@ -29,7 +29,6 @@ from repro.search import (
     PostingList,
     QueryLog,
     QueryRecord,
-    plan_strategy,
     topk,
     topk_many,
     true_length,
@@ -104,22 +103,23 @@ def build_workload(seed, n_queries=24):
 
 
 class TestColdFallback:
-    def test_cold_planner_defers_to_heuristic(self):
+    def test_cold_planner_falls_back_to_scan(self):
         planner, _ = make_planner()
         rng = random.Random(0)
         for _ in range(10):
             lists = make_lists(rng)
             strategy, source = planner.plan(lists, 3, ("q",))
-            assert source == "heuristic"
-            assert strategy == plan_strategy(lists, 3)
+            assert (strategy, source) == ("scan", "default")
 
     def test_underfed_model_stays_cold(self):
         planner, _ = make_planner(min_samples=50, refit_every=1)
         calibrate(planner, build_workload(1, n_queries=4))
         assert not planner.model.fitted
-        # Unknown term set + cold model → heuristic, not a half-fit.
-        _, source = planner.plan(make_lists(random.Random(2)), 3, ("new",))
-        assert source == "heuristic"
+        # Unknown term set + cold model → scan, not a half-fit.
+        strategy, source = planner.plan(
+            make_lists(random.Random(2)), 3, ("new",)
+        )
+        assert (strategy, source) == ("scan", "default")
 
     def test_explore_tier_is_opt_in(self):
         planner, _ = make_planner(explore=True)
@@ -496,7 +496,7 @@ class TestValidation:
         before = planner.stats()
         info = planner.explain(lists, 2, ("a",))
         assert info["strategy"] in CANDIDATES
-        assert info["heuristic"] == plan_strategy(lists, 2)
+        assert (info["strategy"], info["source"]) == ("scan", "default")
         assert planner.stats() == before
 
     def test_observe_with_fake_clock_is_deterministic(self):

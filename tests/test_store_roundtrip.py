@@ -133,6 +133,22 @@ class TestIndexRoundTrip:
                     loaded.search(query, k=10, strategy=strategy)
                 ) == ranking(engine.search(query, k=10, strategy=strategy))
 
+    def test_single_term_search_many_leaves_ids_undecoded(self, saved):
+        """A lone term is answered from its column prefix, so the batch
+        warm-up must not build its columnar view: on a packed list that
+        would decode (and argsort) every doc id."""
+        path, engine, mined, codec = saved
+        loaded = BurstySearchEngine.from_store(path)
+        term = next(iter(mined))
+        batched = loaded.search_many([term], k=3, strategy="scan")
+        assert [ranking(results) for results in batched] == [
+            ranking(engine.search(term, k=3, strategy="scan"))
+        ]
+        source = getattr(loaded._posting_list(term), "packed", None)
+        assert (source is not None) == (codec == "packed")
+        if source is not None:
+            assert source._ids_cache is None
+
     def test_posting_columns_bit_identical(self, saved):
         path, engine, mined, _ = saved
         loaded = BurstySearchEngine.from_store(path)

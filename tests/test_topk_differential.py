@@ -12,11 +12,16 @@ random workloads spanning:
 * heavy score ties (small integer scores) exercising the deterministic
   ``crc32`` tiebreak, negative scores, and k beyond the candidate set;
 * integer ids (the kernel's fully vectorized path) and string/mixed
-  ids (the dict-gather fallback).
+  ids (the dict-gather fallback);
+* hand-built tiebreaks that force equal ``(score, tiebreak)`` keys, on
+  in-memory lists and on lists reloaded from a packed store, pinning
+  the scan's rank-order tie rule and its partial top-k select.
 
 "Identical" is exact: same document ids, same floating-point score
 bits, same order.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -24,13 +29,15 @@ from hypothesis import strategies as st
 
 from repro.columnar.postings import PostingArray
 from repro.errors import SearchError
+from repro.search.inverted_index import random_access_map
+from repro.store.format import SegmentReader, SegmentWriter
+from repro.store.segments import PostingSegment, encode_posting_lists
 from repro.search import (
     Posting,
     PostingList,
     blockmax_topk,
     exhaustive_topk,
     normalize_query_terms,
-    plan_strategy,
     scan_topk,
     threshold_topk,
     topk,
@@ -223,29 +230,37 @@ class TestDispatchAndPlanner:
             assert stats.strategy == name
             assert not stats.planned
 
+    @staticmethod
+    def assert_auto_runs_scan(lists, k):
+        """Uncalibrated ``auto`` is ``scan``, reported as the default."""
+        results, stats = topk(lists, k)
+        assert (stats.strategy, stats.source) == ("scan", "default")
+        assert stats.planned
+        assert ranking(results) == ranking(scan_topk(lists, k)[0])
+
     def test_planner_prefers_scan_for_small_inputs(self):
         lists = [PostingArray([1, 2, 3], [3.0, 2.0, 1.0])] * 2
-        assert plan_strategy(lists, 2) == "scan"
+        self.assert_auto_runs_scan(lists, 2)
 
     def test_planner_prefers_scan_for_large_k(self):
         n = 4000
         lists = [PostingArray(list(range(n)), [float(i) for i in range(n)])]
-        assert plan_strategy(lists, n // 2) == "scan"
+        self.assert_auto_runs_scan(lists, n // 2)
 
-    def test_planner_prefers_blockmax_for_selective_deep_queries(self):
+    def test_auto_runs_scan_for_selective_deep_queries(self):
+        """Deep lists and a selective ``k`` once routed ``auto`` to
+        ``blockmax``; measured, ``scan`` wins there too."""
         n = 4000
         lists = [
             PostingArray(list(range(n)), [float(i) for i in range(n)])
             for _ in range(2)
         ]
-        assert plan_strategy(lists, 5) == "blockmax"
+        self.assert_auto_runs_scan(lists, 5)
 
-    def test_planner_uses_true_length_for_truncated_lists(self):
-        """Regression: ``plan_strategy`` summed the *visible* ``len()``
-        for its total-work cutoff, so deeply pruned lists looked tiny
-        and planned as ``scan`` — but scan gathers candidates against
-        the *full* random-access relation, which pruning preserves.
-        The cutoff must use :func:`true_length`."""
+    def test_auto_runs_scan_for_truncated_lists(self):
+        """Deeply pruned lists look tiny by visible ``len()`` but
+        :func:`true_length` reports the full random-access relation the
+        scan gathers against; ``auto`` runs ``scan`` either way."""
         visible, full = 1000, 30000
         lists = [
             PostingArray(
@@ -255,10 +270,7 @@ class TestDispatchAndPlanner:
         ]
         assert len(lists[0]) == visible
         assert true_length(lists[0]) == full
-        # Visible total (2000) is under SCAN_TOTAL_CUTOFF; the true
-        # total (60000) is far over it, and k is selective relative to
-        # the visible prefix — blockmax, not scan.
-        assert plan_strategy(lists, 5) == "blockmax"
+        self.assert_auto_runs_scan(lists, 5)
 
     def test_true_length_across_containers(self):
         array = PostingArray([1, 2, 3], [3.0, 2.0, 1.0])
@@ -322,3 +334,144 @@ class TestExhaustiveSemantics:
         ]
         results = exhaustive_topk(deeper, 5)
         assert ranking(results) == [("a", 6.0)]
+
+
+def packed_copies(lists, directory):
+    """The same lists, saved to and reloaded from a packed store."""
+    terms = {f"t{index}": plist for index, plist in enumerate(lists)}
+    writer = SegmentWriter(str(directory))
+    encode_posting_lists(writer, "postings", terms, codec="packed")
+    writer.commit("index")
+    segment = PostingSegment(SegmentReader(str(directory)), "postings")
+    return [segment.posting_array(term) for term in terms]
+
+
+def driver_rank_reference(lists, k):
+    """The scan's documented order on unpruned lists, in plain Python.
+
+    Survivors are the first shortest list's postings present in every
+    list, summed in list order from ``0.0``, ranked by ``(-total,
+    tiebreak, rank in that list)``.
+    """
+    lead = min(lists, key=len)
+    ids, _, ties = lead.columns()
+    maps = [random_access_map(plist) for plist in lists]
+    rows = []
+    for rank, doc in enumerate(ids):
+        if all(doc in by_doc for by_doc in maps):
+            total = 0.0
+            for by_doc in maps:
+                total += by_doc[doc]
+            rows.append((-total, int(ties[rank]), rank, doc, total))
+    rows.sort()
+    return [(doc, total) for _, _, _, doc, total in rows[:k]]
+
+
+_TIED_SPEC = st.lists(
+    st.dictionaries(
+        st.integers(0, 30), st.integers(-1, 3).map(float), max_size=20
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestScanKernel:
+    """The scan's sorted-driver intersection and partial select, checked
+    against ``threshold_topk`` and a plain-Python model of its order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _TIED_SPEC,
+        st.integers(-2, 2),
+        st.sampled_from(["crc32", "mod3", "zero"]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_scan_matches_reference(
+        self, tmp_path_factory, spec, k_offset, ties, truncate, rng
+    ):
+        tie_of = {
+            "crc32": None,
+            "mod3": lambda doc: doc % 3,
+            "zero": lambda doc: 0,
+        }[ties]
+        lists = []
+        for entries in spec:
+            docs = list(entries)
+            lists.append(
+                PostingArray(
+                    docs,
+                    [entries[doc] for doc in docs],
+                    tiebreaks=None if tie_of is None else [tie_of(d) for d in docs],
+                )
+            )
+        if truncate:
+            lists = [
+                plist.truncated(rng.randint(0, len(plist)))
+                if len(plist) and rng.random() < 0.5
+                else plist
+                for plist in lists
+            ]
+        # k below, at and above the number of survivors (0 when the
+        # intersection is empty).
+        survivors = len(exhaustive_topk(lists, 10_000))
+        k = max(1, survivors + k_offset)
+        packed = packed_copies(lists, tmp_path_factory.mktemp("scan"))
+
+        expected, _ = threshold_topk(lists, k)
+        in_memory, _ = scan_topk(lists, k)
+        from_store, _ = scan_topk(packed, k)
+        assert ranking(from_store) == ranking(in_memory)
+        if tie_of is None:
+            # Real tiebreaks: byte-identical to the reference TA.
+            assert ranking(in_memory) == ranking(expected)
+            return
+        # Hand-built ties: TA breaks them by crc32 of the id, so only
+        # the score sequence and the documents above the k-th score are
+        # shared; the scan's full order is pinned by the model.
+        assert [r.score for r in in_memory] == [r.score for r in expected]
+        if expected:
+            cut = expected[-1].score
+            assert {r.doc_id for r in in_memory if r.score > cut} == {
+                r.doc_id for r in expected if r.score > cut
+            }
+        if not truncate:
+            assert ranking(in_memory) == driver_rank_reference(lists, k)
+
+    def test_equal_keys_keep_driver_rank_order(self):
+        """Equal totals and equal tiebreaks: the shortest list's rank
+        order decides, on both sides of the k-th-total cut."""
+        lead = PostingArray(
+            [9, 4, 7, 1, 3], [2.0, 2.0, 2.0, 1.0, 1.0], tiebreaks=[0] * 5,
+            presorted=True,
+        )
+        other = PostingArray(
+            list(range(12)), [1.0] * 12, tiebreaks=[0] * 12
+        )
+        lists = [other, lead]
+        for k in range(1, 7):
+            results, _ = scan_topk(lists, k)
+            assert [r.doc_id for r in results] == [9, 4, 7, 1, 3][:k]
+            assert ranking(results) == driver_rank_reference(lists, k)
+
+    def test_empty_intersection_from_packed_store(self, tmp_path):
+        lists = [
+            PostingArray([1, 2, 3], [3.0, 2.0, 1.0]),
+            PostingArray([4, 5], [2.0, 1.0]),
+        ]
+        for plists in (lists, packed_copies(lists, tmp_path)):
+            for k in (1, 2, 5):
+                assert scan_topk(plists, k)[0] == []
+
+    def test_nan_cut_falls_back_to_full_sort(self):
+        """Fewer than k comparable totals: the NaN rows rank last."""
+        nan = float("nan")
+        lists = [
+            PostingArray([1, 2, 3, 4], [nan, 3.0, nan, 1.0]),
+            PostingArray([1, 2, 3, 4], [1.0, 1.0, 1.0, 1.0]),
+        ]
+        results, _ = scan_topk(lists, 3)
+        assert [r.doc_id for r in results[:2]] == [2, 4]
+        assert [r.score for r in results[:2]] == [4.0, 2.0]
+        assert len(results) == 3 and math.isnan(results[2].score)
