@@ -15,7 +15,7 @@ regimes that span the serving envelope:
   worst case.
 
 Each execution mode (reference ``ta``, ``blockmax``, ``scan``,
-uncalibrated ``auto`` — which runs ``scan`` — and the batched
+``auto`` — which runs ``scan`` — and the batched
 ``topk_many``) runs the whole workload against its own freshly-built
 posting arrays, so every mode pays its own materialisation once and
 amortises it across the queries — exactly the cache behaviour of the
@@ -29,26 +29,6 @@ and every mode's rankings — document ids, floating-point scores,
 tiebreak order — are byte-identical to the reference TA *and* to the
 exhaustive oracle.
 Timings land in ``benchmarks/results/BENCH_search.json``.
-
-Regret methodology
-------------------
-The second phase measures how close calibrated ``auto`` gets to the
-per-query best strategy.  A :class:`~repro.search.CalibratedPlanner`
-is first *calibrated*: every query runs once under each candidate
-strategy (``blockmax`` and ``scan``) with the planner attached, so the
-planner observes a timed sample per (term set, strategy) — exactly the
-data an explicit ``--compare`` pass produces in the CLI — and the cost
-model is then fitted from that log.  The measurement pass times, per
-query, each explicit strategy and calibrated ``auto`` (planner
-attached, hot-combination caching disabled so strategy selection is
-what's measured), taking the minimum over ``REGRET_ROUNDS`` runs to
-suppress scheduler noise.  Per-query **regret** is
-``t_auto / min(t_blockmax, t_scan)`` — 1.0 means auto matched the
-per-query winner; the observe/log overhead of the planner is charged
-to auto, so the metric reflects real serving cost.  The median over
-the workload gates at ≤ 1.10 (skipped under ``REPRO_BENCH_TINY=1``,
-where per-query times are microseconds and fixed overheads dominate);
-per-query values land in the ``regret`` block of the JSON report.
 """
 
 import os
@@ -59,21 +39,13 @@ import numpy as np
 from conftest import persist_summary, report
 
 from repro.columnar.postings import PostingArray
-from repro.search import (
-    CalibratedPlanner,
-    exhaustive_topk,
-    threshold_topk,
-    topk,
-    topk_many,
-)
+from repro.search import exhaustive_topk, threshold_topk, topk, topk_many
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 
 
 LIST_LEN = 2000 if TINY else 40000
 ROUNDS = 1 if TINY else 2
-REGRET_ROUNDS = 1 if TINY else 3
-REGRET_GATE = 1.10
 
 
 def build_workload(seed=17, list_len=LIST_LEN):
@@ -124,7 +96,7 @@ def build_workload(seed=17, list_len=LIST_LEN):
         (("sel0", "sel1", "amb0"), 10),
         (("amb0", "anti0"), 10),
         (("amb3", "anti2", "sel0"), 10),
-        # Large-k slice: the planner should flip to the full scan.
+        # Large-k slice: deep rankings over two full lists.
         (("amb0", "amb1"), max(4, list_len // 2)),
         (("anti0", "anti1"), max(4, list_len // 2)),
     ]
@@ -175,67 +147,6 @@ def run_mode(columns, queries, mode):
     return (elapsed, rankings) if mode == "ta" else (elapsed, rankings, plans)
 
 
-def measure_regret(columns, queries):
-    """Calibrate a planner on the workload, then measure per-query
-    regret of calibrated ``auto`` against the best explicit strategy.
-
-    See the module docstring ("Regret methodology") for the protocol.
-    ``hot_support=0`` disables hot-combination materialisation so the
-    phase measures strategy *selection*, not cached serving.
-    """
-    pool = fresh_lists(columns)
-    planner = CalibratedPlanner(hot_support=0)
-    token = ("bench", 0)
-    # Calibration pass: one timed observation per (query, candidate) —
-    # explicit-strategy runs with the planner attached are observed.
-    for terms, k in queries:
-        lists = [pool[term] for term in terms]
-        for strategy in ("blockmax", "scan"):
-            topk(lists, k, strategy, planner=planner, terms=terms, token=token)
-    planner.fit()
-    per_query = {}
-    choices = {}
-    for terms, k in queries:
-        lists = [pool[term] for term in terms]
-        times = {}
-        for strategy in ("blockmax", "scan"):
-            best = None
-            for _ in range(REGRET_ROUNDS):
-                started = time.perf_counter()
-                topk(lists, k, strategy)
-                elapsed = time.perf_counter() - started
-                if best is None or elapsed < best:
-                    best = elapsed
-            times[strategy] = best
-        best_auto = None
-        picked = None
-        for _ in range(REGRET_ROUNDS):
-            started = time.perf_counter()
-            _, stats = topk(
-                lists, k, planner=planner, terms=terms, token=token
-            )
-            elapsed = time.perf_counter() - started
-            if best_auto is None or elapsed < best_auto:
-                best_auto = elapsed
-                picked = (stats.strategy, stats.source)
-        name = "+".join(terms) + f"@k={k}"
-        per_query[name] = best_auto / max(min(times.values()), 1e-9)
-        choices[name] = {
-            "chosen": picked[0],
-            "via": picked[1],
-            "best": min(times, key=times.get),
-        }
-    ordered = sorted(per_query.values())
-    return {
-        "per_query": per_query,
-        "choices": choices,
-        "median": ordered[len(ordered) // 2],
-        "max": ordered[-1],
-        "fitted": planner.model.fitted,
-        "gate": REGRET_GATE,
-    }
-
-
 def test_search_kernel_speedup(benchmark):
     columns, queries = build_workload()
 
@@ -276,11 +187,10 @@ def test_search_kernel_speedup(benchmark):
             mode: timings["ta"] / max(timings[mode], 1e-9)
             for mode in ("blockmax", "scan", "auto", "batched")
         }
-        results["planner_choices"] = dict(
+        results["auto_choices"] = dict(
             zip(["+".join(terms) + f"@k={k}" for terms, k in queries], plans)
         )
         results["identical"] = True
-        results["regret"] = measure_regret(columns, queries)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -289,7 +199,7 @@ def test_search_kernel_speedup(benchmark):
     lines = [
         "Top-k serving kernel: multi-term workload wall-clock "
         "(byte-identical rankings)",
-        f"  {len(results['planner_choices'])} queries over "
+        f"  {len(results['auto_choices'])} queries over "
         f"{results['list_len']}-posting lists",
         f"  ta (reference) {results['timings_s']['ta']:8.3f}s",
     ]
@@ -298,18 +208,13 @@ def test_search_kernel_speedup(benchmark):
             f"  {mode:<14} {results['timings_s'][mode]:8.3f}s "
             f"({speedups[mode]:.2f}x vs reference TA)"
         )
-    chosen = sorted(set(results["planner_choices"].values()))
-    lines.append(f"  planner strategies exercised: {', '.join(chosen)}")
-    regret = results["regret"]
-    lines.append(
-        f"  calibrated-auto regret: median {regret['median']:.3f}, "
-        f"max {regret['max']:.3f} (gate ≤ {regret['gate']:.2f})"
-    )
+    chosen = sorted(set(results["auto_choices"].values()))
+    lines.append(f"  auto strategies run: {', '.join(chosen)}")
     report("search", "\n".join(lines))
     persist_summary("search", results)
 
-    # Uncalibrated auto runs the scan on every query.
-    assert set(results["planner_choices"].values()) == {"scan"}
+    # auto runs the scan on every query.
+    assert set(results["auto_choices"].values()) == {"scan"}
     if TINY:
         return  # fixed costs dominate at smoke sizes; parity checked above
     # Headline claim: the default strategy beats the legacy
@@ -317,6 +222,3 @@ def test_search_kernel_speedup(benchmark):
     # the floor leaves headroom for noisy shared runners).
     assert speedups["auto"] >= 3.0, speedups["auto"]
     assert speedups["batched"] >= 3.0, speedups["batched"]
-    # Calibrated auto must stay within 10% of the per-query best
-    # strategy at the median (ISSUE 7 acceptance gate).
-    assert regret["median"] <= REGRET_GATE, regret

@@ -22,7 +22,6 @@ from repro.errors import ConfigurationError
 KERNEL_SCOPE: Tuple[str, ...] = (
     "repro/columnar/",
     "repro/search/topk.py",
-    "repro/search/planner.py",
     "repro/temporal/",
     "repro/spatial/",
     "repro/store/",

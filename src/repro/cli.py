@@ -10,10 +10,6 @@ Usage::
     python -m repro.cli mine --workers 0  # explicit serial fast path
     python -m repro.cli search --query "financial crisis" --compare
     python -m repro.cli search --query jackson --strategy blockmax
-    python -m repro.cli search --query storm --explain --log-queries q.jsonl
-    python -m repro.cli planner fit --log q.jsonl --out planner.json
-    python -m repro.cli planner stats --model planner.json
-    python -m repro.cli search --query storm --planner-model planner.json
     python -m repro.cli ingest --query storm --report-every 8
     python -m repro.cli ingest --file feed.jsonl --verify --strategy scan
     python -m repro.cli bench             # columnar vs legacy smoke run
@@ -146,8 +142,8 @@ def _strategy_parent() -> argparse.ArgumentParser:
         help="top-k execution strategy: 'ta' is the reference "
         "round-robin Threshold Algorithm, 'blockmax' the block-at-a-"
         "time vectorized TA, 'scan' the full vectorized scan, and "
-        "'auto' (default) runs 'scan' unless a calibrated planner "
-        "is attached; all strategies return byte-identical rankings",
+        "'auto' (default) runs 'scan'; all strategies return "
+        "byte-identical rankings",
     )
     return parent
 
@@ -232,14 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="restrict mining to the N heaviest terms",
-    )
-    save.add_argument(
-        "--planner-model",
-        default=None,
-        metavar="FILE",
-        help="persist this fitted planner model (from `repro planner "
-        "fit`) alongside the index; `search --from-store` re-attaches "
-        "it automatically",
     )
     save.add_argument(
         "--codec",
@@ -345,30 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run every strategy on each query, verify the rankings "
         "are identical, and report per-strategy wall-clock",
     )
-    search.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the planner's decision per query: strategy run, "
-        "deciding tier (memory/model/default/merged), true vs "
-        "visible list lengths, predicted costs and hot-combination "
-        "support",
-    )
-    search.add_argument(
-        "--planner-model",
-        default=None,
-        metavar="FILE",
-        help="attach a calibrated planner model (from `repro planner "
-        "fit`) so 'auto' uses the fitted cost model instead of always "
-        "running 'scan'; with --from-store, a model persisted "
-        "in the store attaches automatically",
-    )
-    search.add_argument(
-        "--log-queries",
-        default=None,
-        metavar="FILE",
-        help="write the per-query planner log (JSONL) after serving — "
-        "the input `repro planner fit` calibrates from",
-    )
     bench = subparsers.add_parser(
         "bench",
         parents=[workers],
@@ -451,51 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="persist the live engine as a checkpoint after the replay",
-    )
-
-    planner_cmd = subparsers.add_parser(
-        "planner",
-        help="fit or inspect the calibrated query planner "
-        "(repro.search.planner)",
-    )
-    planner_sub = planner_cmd.add_subparsers(
-        dest="action", required=True, metavar="action"
-    )
-    fit = planner_sub.add_parser(
-        "fit",
-        help="calibrate a planner model from a query log (JSONL from "
-        "`repro search --log-queries`)",
-    )
-    fit.add_argument(
-        "--log", required=True, metavar="FILE", help="query log to fit from"
-    )
-    fit.add_argument(
-        "--out", required=True, metavar="FILE", help="model JSON to write"
-    )
-    fit.add_argument(
-        "--min-samples",
-        type=int,
-        default=8,
-        help="timed rows per strategy before the cost model fits "
-        "(below this, 'auto' runs 'scan')",
-    )
-    fit.add_argument(
-        "--hot-support",
-        type=int,
-        default=16,
-        help="queries over the same term set before its merged ranking "
-        "is pre-materialized (0 disables hot-combination mining)",
-    )
-    stats = planner_sub.add_parser(
-        "stats",
-        help="summarise a planner model and/or query log: strategy "
-        "mix, fit state, hot term combinations",
-    )
-    stats.add_argument(
-        "--model", default=None, metavar="FILE", help="planner model JSON"
-    )
-    stats.add_argument(
-        "--log", default=None, metavar="FILE", help="query log JSONL"
     )
 
     check = subparsers.add_parser(
@@ -698,11 +617,6 @@ def _run_save(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[Top
     else:
         mined = miner.mine_combinatorial(tensor, terms)
     engine = BurstySearchEngine(lab.collection, mined)
-    planner = None
-    if args.planner_model:
-        from repro.search import CalibratedPlanner
-
-        planner = CalibratedPlanner.load(args.planner_model)
     started = time.perf_counter()
     save_search_index(
         args.out,
@@ -717,7 +631,6 @@ def _run_save(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[Top
             "background_rate": args.background_rate,
             "seed": args.seed,
         },
-        planner=planner,
         codec=args.codec,
     )
     n_patterns = sum(len(patterns) for patterns in mined.values())
@@ -809,35 +722,17 @@ def _run_repair(args: argparse.Namespace) -> int:
 def _run_search(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[TopixLab]:
     """Mine the queried terms, then serve them with a chosen strategy."""
     from repro.pipeline import BatchMiner
-    from repro.search import (
-        BurstySearchEngine,
-        CalibratedPlanner,
-        normalize_query_terms,
-    )
+    from repro.search import BurstySearchEngine, normalize_query_terms
     from repro.streams.document import tokenize
 
     queries = args.query or ["financial crisis"]
-    planner = None
-    if args.planner_model:
-        planner = CalibratedPlanner.load(args.planner_model)
-        print(
-            f"attached planner model {args.planner_model!r} "
-            f"(cost model fitted: {'yes' if planner.model.fitted else 'no'})",
-            file=sys.stderr,
-        )
     if args.from_store:
         started = time.perf_counter()
         engine = BurstySearchEngine.from_store(
             args.from_store,
             strategy=args.strategy,
-            planner=planner,
             on_corruption=getattr(args, "on_corruption", "fail"),
         )
-        if planner is None and engine.planner is not None:
-            print(
-                "attached the planner model persisted in the store",
-                file=sys.stderr,
-            )
         print(
             f"cold-started engine from store {args.from_store!r} in "
             f"{time.perf_counter() - started:.3f}s "
@@ -880,14 +775,8 @@ def _run_search(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[T
         else:
             mined = miner.mine_combinatorial(lab.tensor, wanted)
         engine = BurstySearchEngine(
-            lab.collection, mined, strategy=args.strategy, planner=planner
+            lab.collection, mined, strategy=args.strategy
         )
-    if engine.planner is None and (args.explain or args.log_queries):
-        # --explain / --log-queries imply planner machinery even without
-        # a pre-fitted model (explicit, or persisted in the store):
-        # decisions fall back to 'scan' (the default tier) and every
-        # execution is logged for a later `planner fit`.
-        engine.planner = CalibratedPlanner()
     strategies = (
         ("ta", "blockmax", "scan", "auto") if args.compare else (args.strategy,)
     )
@@ -926,53 +815,9 @@ def _run_search(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[T
                     + ", ".join(repr(t) for t in stats.degraded_terms)
                 )
             print(f"  [{strategy:<8}] {elapsed * 1000.0:8.2f}ms")
-            if args.explain and (strategy == "auto" or not args.compare):
-                _print_explanation(engine, query, stats, args.k)
         if args.compare:
             print("  rankings byte-identical across strategies: yes")
-    if args.log_queries and engine.planner is not None:
-        engine.planner.log.save(args.log_queries)
-        print(
-            f"wrote {len(engine.planner.log)} logged queries to "
-            f"{args.log_queries} (calibrate with `repro planner fit`)",
-            file=sys.stderr,
-        )
     return lab
-
-
-def _print_explanation(engine, query: str, stats, k: int) -> None:
-    """Planner decision breakdown for one served query (--explain)."""
-    from repro.search import normalize_query_terms
-    from repro.streams.document import tokenize
-
-    print(
-        f"    explain: ran {stats.strategy!r} via {stats.source!r}, "
-        f"{stats.sorted_accesses} sorted access(es)"
-    )
-    if engine.planner is None:
-        return
-    terms = normalize_query_terms(tokenize(query))
-    engine._check_freshness()
-    lists = [engine._posting_list(term) for term in terms]
-    info = engine.planner.explain(lists, k=k, terms=terms)
-    print(
-        f"    explain: visible lengths {info['visible_lengths']}, "
-        f"true lengths {info['true_lengths']}"
-    )
-    predicted = info.get("predicted_cost")
-    if predicted:
-        costs = ", ".join(
-            f"{name}={cost:.2e}s" for name, cost in sorted(predicted.items())
-        )
-        print(f"    explain: model predicts {costs}")
-    print(
-        f"    explain: term-set support {info['support']}"
-        + (
-            " (merged ranking cached)"
-            if info["merged_cached"]
-            else ""
-        )
-    )
 
 
 def _search_kernel_bench(seed: int, list_len: int, n_lists: int, k: int):
@@ -1375,97 +1220,6 @@ def _run_ingest(args: argparse.Namespace) -> None:
                 raise SystemExit(1)
 
 
-def _run_planner(args: argparse.Namespace) -> None:
-    """Fit a planner model from a query log, or summarise model/log."""
-    from repro.errors import SearchError
-    from repro.search import CalibratedPlanner, QueryLog
-
-    if args.action == "fit":
-        log = QueryLog.load(args.log)
-        planner = CalibratedPlanner(
-            min_samples=args.min_samples, hot_support=args.hot_support
-        )
-        planner.replay(log)
-        fitted = planner.fit()
-        planner.save(args.out)
-        print(
-            f"fitted planner from {len(log)} logged queries -> {args.out}"
-        )
-        samples = ", ".join(
-            f"{name}={count}"
-            for name, count in sorted(planner.model.samples.items())
-        )
-        print(f"  timed samples: {samples}")
-        print(
-            "  cost model: "
-            + (
-                "fitted"
-                if fitted
-                else f"cold (needs >= {args.min_samples} samples per "
-                "strategy; 'auto' runs 'scan' until then)"
-            )
-        )
-        hot = planner.hot_combinations(5)
-        if hot:
-            print("  hottest term sets:")
-            for terms, support in hot:
-                print(f"    {' '.join(terms):<32} support={support}")
-        return
-    # stats
-    if not args.model and not args.log:
-        raise SearchError(
-            "planner stats needs --model and/or --log to summarise"
-        )
-    planner = (
-        CalibratedPlanner.load(args.model)
-        if args.model
-        else CalibratedPlanner()
-    )
-    if args.log:
-        planner.replay(QueryLog.load(args.log))
-    info = planner.stats()
-    print(f"log records:        {info['log_records']}")
-    print(
-        "by strategy:        "
-        + (
-            ", ".join(
-                f"{name}={count}"
-                for name, count in info["by_strategy"].items()
-            )
-            or "-"
-        )
-    )
-    print(
-        "by source:          "
-        + (
-            ", ".join(
-                f"{name}={count}" for name, count in info["by_source"].items()
-            )
-            or "-"
-        )
-    )
-    print(f"cost model fitted:  {'yes' if info['model_fitted'] else 'no'}")
-    print(
-        "model samples:      "
-        + ", ".join(
-            f"{name}={count}"
-            for name, count in sorted(info["model_samples"].items())
-        )
-    )
-    print(f"term sets in memory: {info['term_sets_remembered']}")
-    print(
-        f"merged rankings:    {info['merged_cached']} cached, "
-        f"{info['merged_hits']} hit(s), {info['merged_builds']} build(s)"
-    )
-    if info["hot_combinations"]:
-        print("hottest term sets:")
-        for entry in info["hot_combinations"]:
-            print(
-                f"  {' '.join(entry['terms']):<32} "
-                f"support={entry['support']}"
-            )
-
-
 def _run_check(args: argparse.Namespace) -> int:
     """Run the static invariant analyzer; exit 0 clean, 1 on findings."""
     from repro.analysis import (
@@ -1532,9 +1286,6 @@ def _run_one(name: str, args: argparse.Namespace, lab: Optional[TopixLab]) -> Op
         return _run_save(args, lab)
     if name == "load":
         _run_load(args)
-        return lab
-    if name == "planner":
-        _run_planner(args)
         return lab
     if name in _CORPUS_EXPERIMENTS:
         if lab is None:

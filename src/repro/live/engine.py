@@ -46,6 +46,7 @@ from repro.pipeline.incremental import IncrementalFeeder
 from repro.search.engine import SearchResult, _default_aggregate, score_posting
 from repro.search.inverted_index import Posting
 from repro.search.relevance import RelevanceFunction, log_relevance
+from repro.search.threshold_algorithm import positive_k
 from repro.search.topk import STRATEGIES, normalize_query_terms, topk
 from repro.streams.document import Document, tokenize
 
@@ -99,16 +100,10 @@ class LiveSearchEngine:
             the compacted columnar base directly, whereas serving a
             lazy merge view would re-materialise the whole list on
             every query — strictly more work than compacting once.
-        strategy: Default top-k execution strategy (``auto`` is
-            ``scan`` without a planner; see :mod:`repro.search.topk`).
-            Strategies are byte-identical in output, so the result
-            cache is shared across them.
-        planner: Optional :class:`~repro.search.planner.
-            CalibratedPlanner` consulted by ``auto`` queries.  Its
-            merged-ranking cache is keyed by the queried terms'
-            ``term_version`` tuple, so an ingest touching a term
-            invalidates exactly that term's combinations while
-            unrelated hot combinations keep serving.
+        strategy: Default top-k execution strategy (``auto`` runs
+            ``scan``; see :mod:`repro.search.topk`).  Strategies are
+            byte-identical in output, so the result cache is shared
+            across them.
     """
 
     def __init__(
@@ -120,7 +115,6 @@ class LiveSearchEngine:
         cache_size: int = 128,
         compaction_threshold: int = 32,
         strategy: str = "auto",
-        planner=None,
     ) -> None:
         if cache_size < 1:
             raise SearchError("cache_size must be >= 1")
@@ -129,7 +123,6 @@ class LiveSearchEngine:
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
         self.strategy = strategy
-        self.planner = planner
         self.live = live
         self.relevance = relevance
         self.aggregate = aggregate
@@ -164,8 +157,8 @@ class LiveSearchEngine:
         contract (``tests/test_live.py``).
 
         Raises:
-            SearchError: on an empty query, non-positive ``k`` or an
-                unknown strategy.
+            SearchError: on an empty query, a ``k`` that is not a
+                positive integer, or an unknown strategy.
         """
         if strategy is not None and strategy not in STRATEGIES:
             # Validated before the cache lookup: a typoed strategy must
@@ -173,6 +166,9 @@ class LiveSearchEngine:
             raise SearchError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
             )
+        # So is k: a cache hit must not serve k=3.0 (which hashes like
+        # k=3) where a miss would refuse it.
+        k = positive_k(k)
         terms = normalize_query_terms(tokenize(query))
         if not terms:
             raise SearchError("empty query")
@@ -184,14 +180,7 @@ class LiveSearchEngine:
             return list(cached)
         self.stats.cache_misses += 1
         lists = [self._term_list(term) for term in terms]
-        ranked, _ = topk(
-            lists,
-            k,
-            strategy or self.strategy,
-            planner=self.planner,
-            terms=terms,
-            token=tuple(self.live.term_version(term) for term in terms),
-        )
+        ranked, _ = topk(lists, k, strategy or self.strategy)
         results = [
             SearchResult(
                 document=self.live.document(result.doc_id), score=result.score
@@ -240,9 +229,7 @@ class LiveSearchEngine:
         The backing index identity changes wholesale, so the serving
         statistics are reset and the result cache cleared: counters
         carried across a restore would report hit-rates for an index
-        they never measured.  An attached planner's merged-ranking
-        cache is dropped for the same reason — the restored
-        collection's term versions could coincide with stale ones.
+        they never measured.
 
         Raises:
             StoreError: for a missing/corrupted store, a non-``live``
@@ -252,8 +239,6 @@ class LiveSearchEngine:
         from repro.store import restore_live_checkpoint
 
         restore_live_checkpoint(path, self)
-        if self.planner is not None:
-            self.planner.invalidate_merged()
 
     @classmethod
     def from_checkpoint(cls, path, **engine_kwargs) -> "LiveSearchEngine":

@@ -20,14 +20,6 @@ from repro.search.topk import (
     scan_topk,
     topk,
     topk_many,
-    true_length,
-)
-from repro.search.planner import (
-    CANDIDATES,
-    CalibratedPlanner,
-    CostModel,
-    QueryLog,
-    QueryRecord,
 )
 from repro.search.engine import (
     BurstySearchEngine,
@@ -39,16 +31,11 @@ from repro.search.ensemble import EnsembleResult, EnsembleSearchEngine
 
 __all__ = [
     "BurstySearchEngine",
-    "CANDIDATES",
-    "CalibratedPlanner",
-    "CostModel",
     "EnsembleResult",
     "EnsembleSearchEngine",
     "InvertedIndex",
     "Posting",
     "PostingList",
-    "QueryLog",
-    "QueryRecord",
     "RelevanceFunction",
     "STRATEGIES",
     "SearchResult",
@@ -66,5 +53,4 @@ __all__ = [
     "threshold_topk",
     "topk",
     "topk_many",
-    "true_length",
 ]

@@ -114,7 +114,6 @@ class _PatternEngineBase:
         relevance: RelevanceFunction = log_relevance,
         aggregate: Callable[[Sequence[float]], float] = _default_aggregate,
         strategy: str = "auto",
-        planner=None,
     ) -> None:
         if strategy not in STRATEGIES:
             raise SearchError(
@@ -124,23 +123,13 @@ class _PatternEngineBase:
         self.relevance = relevance
         self.aggregate = aggregate
         self.strategy = strategy
-        self.planner = planner
         self._index = InvertedIndex()
         self._doc_map: Optional[Dict[Hashable, Document]] = None
         self._built_version = collection.version
-        #: term (or pseudo-entry like ``"(planner)"``) → quarantine
-        #: reason; only ever populated under ``on_corruption="degrade"``.
+        #: term → quarantine reason; only ever populated under
+        #: ``on_corruption="degrade"``.
         self._degraded: Dict[str, str] = {}
         self._on_corruption = "fail"
-
-    def _version_token(self) -> Hashable:
-        """Cache token for the planner's merged-ranking cache.
-
-        Static engines rebuild every posting list when the collection's
-        version changes, so the collection version is exactly the
-        granularity at which cached merged rankings go stale.
-        """
-        return ("collection", self._built_version)
 
     # -- pattern access ------------------------------------------------
     def patterns_for(self, term: str) -> Sequence:
@@ -224,21 +213,14 @@ class _PatternEngineBase:
         self, query: str, k: int = 10, strategy: Optional[str] = None
     ):
         """:meth:`search` plus the :class:`~repro.search.topk.TopKStats`
-        of the underlying execution (strategy run, planner tier, sorted
-        accesses) — the machinery behind ``repro search --explain``."""
+        of the underlying execution (strategy run, sorted accesses,
+        degraded terms)."""
         terms = normalize_query_terms(tokenize(query))
         if not terms:
             raise SearchError("empty query")
         self._check_freshness()
         lists = [self._posting_list(term) for term in terms]
-        results, stats = topk(
-            lists,
-            k,
-            strategy or self.strategy,
-            planner=self.planner,
-            terms=terms,
-            token=self._version_token(),
-        )
+        results, stats = topk(lists, k, strategy or self.strategy)
         if self._degraded:
             affected = tuple(
                 term for term in terms if term in self._degraded
@@ -284,9 +266,6 @@ class _PatternEngineBase:
             [[lists_by_term[term] for term in terms] for terms in per_query],
             k,
             strategy=strategy or self.strategy,
-            planner=self.planner,
-            terms_list=per_query,
-            token=self._version_token(),
         )
         documents = self._documents_by_id_map()
         return [
@@ -329,11 +308,8 @@ class BurstySearchEngine(_PatternEngineBase):
         aggregate: Aggregation of overlapping-pattern scores
             (default max, the paper's best).
         precompute: Build all posting lists up front (default).
-        strategy: Default top-k execution strategy (``auto`` is
-            ``scan`` without a planner; see :mod:`repro.search.topk`).
-        planner: Optional :class:`~repro.search.planner.
-            CalibratedPlanner` that plans ``auto`` queries (and serves
-            hot combinations).
+        strategy: Default top-k execution strategy (``auto`` runs
+            ``scan``; see :mod:`repro.search.topk`).
     """
 
     def __init__(
@@ -345,14 +321,12 @@ class BurstySearchEngine(_PatternEngineBase):
         precompute: bool = True,
         columnar: bool = True,
         strategy: str = "auto",
-        planner=None,
     ) -> None:
         super().__init__(
             collection,
             relevance=relevance,
             aggregate=aggregate,
             strategy=strategy,
-            planner=planner,
         )
         self._patterns = dict(patterns)
         self._columnar = columnar
@@ -577,8 +551,7 @@ class TemporalSearchEngine(_PatternEngineBase):
         relevance: Per-term relevance function.
         aggregate: Aggregation over overlapping temporal patterns.
         strategy: Default top-k execution strategy (``auto`` runs
-            ``scan`` unless a planner is attached).
-        planner: Optional calibrated planner for ``auto`` queries.
+            ``scan``).
     """
 
     def __init__(
@@ -588,14 +561,12 @@ class TemporalSearchEngine(_PatternEngineBase):
         relevance: RelevanceFunction = log_relevance,
         aggregate: Callable[[Sequence[float]], float] = _default_aggregate,
         strategy: str = "auto",
-        planner=None,
     ) -> None:
         super().__init__(
             collection,
             relevance=relevance,
             aggregate=aggregate,
             strategy=strategy,
-            planner=planner,
         )
         self.detector = detector if detector is not None else LappasBurstDetector()
         self._cache: Dict[str, List[TemporalPattern]] = {}

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
+import operator
 from typing import Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SearchError
@@ -55,6 +56,30 @@ class TopKResult:
     score: float
 
 
+def positive_k(k) -> int:
+    """``k`` as a positive ``int``, or :class:`SearchError`.
+
+    Coerces through ``operator.index``, so numpy integers and ``bool``
+    pass while floats (``2.5``, NaN), strings and ``None`` are refused
+    up front instead of leaking builtin errors from a kernel.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise SearchError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise SearchError("k must be positive")
+    return k
+
+
+def validate_topk_args(lists: Sequence[PostingList], k) -> int:
+    """:func:`positive_k`, plus :class:`SearchError` for no lists."""
+    k = positive_k(k)
+    if not lists:
+        raise SearchError("at least one posting list is required")
+    return k
+
+
 def threshold_topk(
     lists: Sequence[PostingList],
     k: int,
@@ -73,12 +98,10 @@ def threshold_topk(
         analyses.
 
     Raises:
-        SearchError: when ``k < 1`` or no lists are given.
+        SearchError: when ``k`` is not a positive integer or no lists
+            are given.
     """
-    if k < 1:
-        raise SearchError("k must be positive")
-    if not lists:
-        raise SearchError("at least one posting list is required")
+    k = validate_topk_args(lists, k)
 
     seen: Set[Hashable] = set()
     # Min-heap of (score, -tiebreak, doc_id) keeps the current best k;
@@ -164,10 +187,7 @@ def exhaustive_topk(
     ``0.0``, so the floating-point sums are bit-identical to
     :func:`_full_score`.
     """
-    if k < 1:
-        raise SearchError("k must be positive")
-    if not lists:
-        raise SearchError("at least one posting list is required")
+    k = validate_topk_args(lists, k)
     candidates: Set[Hashable] = set()
     for posting_list in lists:
         for posting in posting_list:

@@ -11,8 +11,7 @@ segments, that work is the serving-path bottleneck.
 This module is the columnar counterpart: three interchangeable
 strategies that return **byte-identical rankings** (same documents,
 same floating-point scores, same deterministic tiebreak order).
-``auto`` runs ``scan``; an attached :class:`~repro.search.planner.
-CalibratedPlanner` may pick ``blockmax`` instead.
+``auto`` runs ``scan``.
 
 * ``scan`` — a full vectorized scan: the shortest list's sorted doc-id
   index drives the intersection, scores are masked and summed in one
@@ -75,18 +74,20 @@ from repro.search.inverted_index import (
     random_access_map,
     rank_tiebreak,
 )
-from repro.search.threshold_algorithm import TopKResult, threshold_topk
+from repro.search.threshold_algorithm import (
+    TopKResult,
+    threshold_topk,
+    validate_topk_args,
+)
 
 __all__ = [
     "STRATEGIES",
     "TopKStats",
     "blockmax_topk",
     "normalize_query_terms",
-    "scan_ranking",
     "scan_topk",
     "topk",
     "topk_many",
-    "true_length",
 ]
 
 #: Strategy names accepted by :func:`topk` and the engines.
@@ -119,17 +120,9 @@ class TopKStats:
 
     Attributes:
         strategy: The strategy that actually ran (``auto`` resolved).
-            ``"merged"`` means the query was answered from a
-            pre-materialised hot-combination ranking (see
-            :mod:`repro.search.planner`) without running any strategy.
         planned: True for ``auto`` (the strategy was resolved, not
             named by the caller).
         sorted_accesses: Postings consumed through sorted access.
-        source: How the strategy was chosen — ``"explicit"`` (caller
-            named it), ``"default"`` (``auto`` without a calibrated
-            planner, or with a cold one: ``scan``), or a
-            :class:`~repro.search.planner.CalibratedPlanner` tier
-            (``"memory"``, ``"model"``, ``"explore"``, ``"merged"``).
         degraded_terms: Query terms whose posting columns were
             quarantined by degraded-mode serving (empty outside
             ``on_corruption="degrade"``); their contribution to the
@@ -140,48 +133,7 @@ class TopKStats:
     strategy: str
     planned: bool
     sorted_accesses: int
-    source: str = "explicit"
     degraded_terms: Tuple[str, ...] = ()
-
-
-def true_length(posting_list: PostingList) -> int:
-    """Size of the list's full random-access relation, in O(1).
-
-    For a pruned (:meth:`~repro.search.inverted_index.PostingList.
-    truncated`) list the visible ``len()`` under-counts the work the
-    scan strategy actually does: candidate gathers probe the *full*
-    random-access relation, and the columnar index is built over it.
-    The planner therefore needs both numbers — visible length for
-    TA-style termination-depth reasoning, true length for scan-cost
-    reasoning.
-
-    Never materialises anything: lazy random-access maps are inspected
-    through their backing attributes, and a
-    :class:`~repro.live.index.DeltaPostingList` whose merge has not run
-    yet is *estimated* as ``base + delta`` (an upper bound — overlap is
-    unknowable without paying for the merge).
-    """
-    lazy = getattr(posting_list, "_by_doc_lazy", _MISSING)
-    if lazy is not _MISSING:
-        # PostingArray: a None lazy map means the relation IS the
-        # visible columns; a dict means pruning replaced it wholesale.
-        return len(posting_list) if lazy is None else len(lazy)
-    cached = getattr(posting_list, "_by_doc_cache", _MISSING)
-    if cached is not _MISSING:
-        # DeltaPostingList: merged map if already paid for, else the
-        # cheap upper estimate over its two sides.
-        if cached is not None:
-            return len(cached)
-        base = getattr(posting_list, "_base", None)
-        delta = getattr(posting_list, "_delta", None)
-        if base is not None and delta is not None:
-            return true_length(base) + true_length(delta)
-        return len(posting_list)
-    instance_vars = getattr(posting_list, "__dict__", None)
-    by_doc = instance_vars.get("_by_doc") if instance_vars else None
-    if isinstance(by_doc, dict):
-        return len(by_doc)
-    return len(posting_list)
 
 
 def _int_keys(ids) -> Optional[np.ndarray]:
@@ -475,13 +427,6 @@ def _columns(posting_list: PostingList) -> _Columns:
     return cached
 
 
-def _validate(lists: Sequence[PostingList], k: int) -> None:
-    if k < 1:
-        raise SearchError("k must be positive")
-    if not lists:
-        raise SearchError("at least one posting list is required")
-
-
 def _aggregate(
     cols: Sequence[_Columns],
     cand_ids: Sequence[Hashable],
@@ -508,10 +453,6 @@ def _aggregate(
     return totals, keep
 
 
-#: Parallel lists of document ids and aggregate scores, best first.
-Ranking = Tuple[List[Hashable], List[float]]
-
-
 def _ranked(
     ids: Sequence[Hashable],
     totals: np.ndarray,
@@ -519,7 +460,7 @@ def _ranked(
     keep: np.ndarray,
     k: int,
     order: Optional[np.ndarray] = None,
-) -> Ranking:
+) -> List[TopKResult]:
     """Top-k of the surviving candidates by ``(-score, tiebreak, rank)``.
 
     Candidate ``i`` scores ``totals[i]``; its id and tiebreak sit at
@@ -534,16 +475,16 @@ def _ranked(
         if not np.isnan(cut):
             kept = kept[totals[kept] >= cut]
     if kept.size == 0:
-        return [], []
+        return []
     rank = kept if order is None else order[kept]
     top = np.lexsort((rank, ties[rank], -totals[kept]))[:k]
     doc_ids = [ids[position] for position in rank[top].tolist()]
-    return doc_ids, totals[kept[top]].tolist()
+    return list(map(TopKResult, doc_ids, totals[kept[top]].tolist()))
 
 
 def _single_prefix_topk(
     posting_list: PostingList, k: int
-) -> Optional[Tuple[Ranking, int]]:
+) -> Optional[Tuple[List[TopKResult], int]]:
     """Single-list scan shortcut: the ranking is a column prefix.
 
     A lone query term aggregates to its own scores, and the columns
@@ -566,7 +507,7 @@ def _single_prefix_topk(
     if lazy is not _MISSING and lazy is not None and len(lazy) != length:
         return None  # pruned: random access knows more than the columns
     if length == 0:
-        return ([], []), 0
+        return [], 0
     ids, scores, ties = prefix_columns(min(k, length))
     # Matches _aggregate's sum-from-zero (0.0 + s normalises -0.0).
     totals = np.zeros(len(ids)) + np.asarray(scores, dtype=float)
@@ -581,18 +522,7 @@ def _single_prefix_topk(
 def scan_topk(
     lists: Sequence[PostingList], k: int
 ) -> Tuple[List[TopKResult], int]:
-    """Exhaustive top-k in one vectorized pass; see :func:`scan_ranking`.
-
-    Returns ``(results, sorted_accesses)``.
-    """
-    (doc_ids, scores), accesses = scan_ranking(lists, k)
-    return list(map(TopKResult, doc_ids, scores)), accesses
-
-
-def scan_ranking(
-    lists: Sequence[PostingList], k: int
-) -> Tuple[Ranking, int]:
-    """:func:`scan_topk`'s ranking as parallel id/score lists.
+    """Exhaustive top-k in one vectorized pass.
 
     When no list is pruned, every surviving document must appear in the
     *shortest* list, whose doc-id-sorted index therefore drives the
@@ -601,11 +531,12 @@ def scan_ranking(
     non-integer-id inputs fall back to deduplicating the union of
     visible ids first.  A single unpruned duplicate-free list resolves
     as a column prefix (the columns are already in ranking order)
-    without touching the rest of the list at all.  Returns
-    ``(ranking, sorted_accesses)`` where the access count is the total
-    visible postings scanned; long rankings stay cheap in this form.
+    without touching the rest of the list at all.
+
+    Returns ``(results, sorted_accesses)`` where the access count is
+    the total visible postings scanned.
     """
-    _validate(lists, k)
+    k = validate_topk_args(lists, k)
     if len(lists) == 1:
         fast = _single_prefix_topk(lists[0], k)
         if fast is not None:
@@ -617,7 +548,7 @@ def scan_ranking(
         col.densify()
     accesses = sum(len(col) for col in cols)
     if accesses == 0:
-        return ([], []), 0
+        return [], 0
     if all(col.map_is_columns for col in cols):
         # Fast path: visible columns == random-access relation for all
         # lists, so survivors ⊆ every list ⊆ the smallest list, whose
@@ -701,7 +632,7 @@ def blockmax_topk(
 
     Returns ``(results, sorted_accesses)``.
     """
-    _validate(lists, k)
+    k = validate_topk_args(lists, k)
     if block < 1:
         raise SearchError("block size must be positive")
     cols = [_columns(posting_list) for posting_list in lists]
@@ -810,87 +741,38 @@ def blockmax_topk(
 # Dispatch
 # ----------------------------------------------------------------------
 def topk(
-    lists: Sequence[PostingList],
-    k: int,
-    strategy: str = "auto",
-    block: int = DEFAULT_BLOCK,
-    planner=None,
-    terms: Tuple[str, ...] = (),
-    token: Hashable = None,
+    lists: Sequence[PostingList], k: int, strategy: str = "auto"
 ) -> Tuple[List[TopKResult], TopKStats]:
     """Top-k under Eq. 10 aggregation with a pluggable strategy.
 
     Args:
         lists: One posting list per (deduplicated) query term.
         k: Number of results.
-        strategy: ``auto``, ``ta``, ``blockmax`` or ``scan``.  ``auto``
-            runs ``scan`` unless a calibrated ``planner`` decides.  All
-            strategies return byte-identical rankings; only the
-            execution cost differs.
-        block: Sorted accesses per list per round for ``blockmax``.
-        planner: Optional :class:`~repro.search.planner.
-            CalibratedPlanner`.  With ``strategy="auto"`` it picks
-            ``blockmax`` or ``scan`` per query (``scan`` while its log
-            is cold) and may answer straight from a pre-materialised
-            hot-combination ranking.  Explicit strategies are still
-            *observed* — their timings feed the planner's calibration.
-        terms: The normalized query-term tuple, used by the planner
-            for per-term-set memory and hot-combination mining.
-        token: Version token for ``terms``' posting lists; the
-            planner's merged-ranking cache is keyed by it so live
-            mutation invalidates correctly.
+        strategy: ``auto`` (which runs ``scan``), ``ta``, ``blockmax``
+            or ``scan``.  All strategies return byte-identical
+            rankings; only the execution cost differs.
 
     Returns:
         ``(results, stats)``.
 
     Raises:
-        SearchError: on an unknown strategy, ``k < 1`` or no lists.
+        SearchError: on an unknown strategy, a ``k`` that is not a
+            positive integer, or no lists.
     """
     if strategy not in STRATEGIES:
         raise SearchError(
             f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
         )
-    _validate(lists, k)
     planned = strategy == "auto"
-    source = "explicit"
-    if planned:
-        if planner is not None:
-            if terms:
-                merged = planner.serve_merged(terms, token, lists, k)
-                if merged is not None:
-                    return merged, TopKStats(
-                        strategy="merged",
-                        planned=True,
-                        sorted_accesses=0,
-                        source="merged",
-                    )
-            resolved, source = planner.plan(lists, k, terms)
-        else:
-            resolved, source = "scan", "default"
-    else:
-        resolved = strategy
-    start = planner.clock() if planner is not None else 0.0
+    resolved = "scan" if planned else strategy
     if resolved == "ta":
         results, accesses = threshold_topk(lists, k)
     elif resolved == "blockmax":
-        results, accesses = blockmax_topk(lists, k, block=block)
+        results, accesses = blockmax_topk(lists, k)
     else:
         results, accesses = scan_topk(lists, k)
-    if planner is not None:
-        planner.observe(
-            lists=lists,
-            k=k,
-            strategy=resolved,
-            sorted_accesses=accesses,
-            elapsed=planner.clock() - start,
-            terms=terms,
-            source=source,
-        )
     return results, TopKStats(
-        strategy=resolved,
-        planned=planned,
-        sorted_accesses=accesses,
-        source=source,
+        strategy=resolved, planned=planned, sorted_accesses=accesses
     )
 
 
@@ -898,10 +780,6 @@ def topk_many(
     queries: Sequence[Sequence[PostingList]],
     k: int,
     strategy: str = "auto",
-    block: int = DEFAULT_BLOCK,
-    planner=None,
-    terms_list: Optional[Sequence[Tuple[str, ...]]] = None,
-    token: Hashable = None,
 ) -> List[Tuple[List[TopKResult], TopKStats]]:
     """Batched :func:`topk` over a query workload.
 
@@ -909,17 +787,6 @@ def topk_many(
     view (score/tiebreak arrays plus the doc-id→row index) materialised
     exactly once and shared by every query that references it; a
     single-term ``scan`` reads only its column prefix.
-
-    Args:
-        queries: One posting-list sequence per query.
-        k: Number of results per query.
-        strategy: Strategy for every query (``auto`` plans per query).
-        block: Blockmax block size.
-        planner: Optional calibrated planner, shared by every query
-            (see :func:`topk`).
-        terms_list: One normalized term tuple per query, aligned with
-            ``queries``; required for the planner's term-aware tiers.
-        token: Version token shared by the whole batch.
 
     Returns:
         One ``(results, stats)`` pair per query, in input order.
@@ -932,17 +799,4 @@ def topk_many(
             if id(posting_list) not in warmed:
                 warmed.add(id(posting_list))
                 _columns(posting_list)
-    if terms_list is None:
-        terms_list = [() for _ in queries]
-    return [
-        topk(
-            lists,
-            k,
-            strategy=strategy,
-            block=block,
-            planner=planner,
-            terms=terms,
-            token=token,
-        )
-        for lists, terms in zip(queries, terms_list)
-    ]
+    return [topk(lists, k, strategy=strategy) for lists in queries]

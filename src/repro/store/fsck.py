@@ -20,10 +20,10 @@ archive.
   posting prefix is rebuilt from the store's own documents and mined
   patterns — which is possible precisely because patterns are persisted
   and posting scores are a deterministic function of them;
-* a damaged ``planner/model`` or ``trackers/`` segment on an ``index``
-  store is auxiliary: it is quarantined and dropped from the manifest
-  (serving works without it, just uncalibrated / without tracker
-  state).
+* a damaged ``trackers/`` segment on an ``index`` store, or the
+  ``planner/model`` segment older stores may carry (nothing reads it
+  any more), is auxiliary: it is quarantined and dropped from the
+  manifest (serving works without it).
 
 The rewritten manifest is installed through the same atomic
 temp-write → fsync → rename boundary sequence as a fresh save
@@ -369,7 +369,7 @@ def repair_store(path: str) -> RepairReport:
         rebuilt.append("postings")
     if drop_planner:
         files.pop("planner/model", None)
-        metadata["planner"] = False
+        metadata.pop("planner", None)
         dropped.append("planner/model")
     if drop_trackers:
         files = {

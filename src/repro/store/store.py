@@ -219,7 +219,6 @@ def save_search_index(
     trackers: Optional[Dict] = None,
     miner_config=None,
     metadata: Optional[Dict[str, Any]] = None,
-    planner=None,
     codec: str = "raw",
 ) -> None:
     """Persist a complete :class:`BurstySearchEngine` serving snapshot.
@@ -239,12 +238,6 @@ def save_search_index(
             re-mines under the same settings (defaults assumed when
             omitted).
         metadata: Extra manifest metadata.
-        planner: A :class:`~repro.search.planner.CalibratedPlanner`
-            whose calibration state (fitted cost model, term-set
-            memory, hot-combination support) is stored as the
-            ``planner/model`` segment; defaults to the engine's own
-            attached planner.  :func:`load_search_engine` re-attaches
-            it, so a reloaded store plans queries identically.
         codec: Posting-column layout — ``"raw"`` (format v1, plain
             ``<i8``/``<f8`` columns) or ``"packed"`` (format v2,
             block-compressed; see :mod:`repro.store.codec`).  Decoded
@@ -285,12 +278,6 @@ def save_search_index(
     if trackers and trackers_persistable(trackers):
         encode_trackers(writer, "trackers", trackers)
         meta["trackers"] = True
-    if planner is None:
-        planner = getattr(engine, "planner", None)
-    meta["planner"] = False
-    if planner is not None:
-        writer.add_json("planner/model", planner.to_payload())
-        meta["planner"] = True
     writer.commit("index", meta)
 
 
@@ -335,7 +322,8 @@ def load_search_engine(path: StoreLike, **engine_kwargs):
       :class:`~repro.errors.StoreCorruptionError` (subject to the
       ``verify`` flag, as before);
     * ``"degrade"`` — damage confined to posting *payload* columns (or
-      a stale planner model) is survivable: every term is audited
+      to the ``planner/model`` segment older stores may carry, which
+      nothing reads) is survivable: every term is audited
       against its stored CRC on first touch, damaged terms are
       quarantined and reported, and serving continues over healthy
       terms.  Damage to structural segments (documents, patterns,
@@ -410,17 +398,6 @@ def load_search_engine(path: StoreLike, **engine_kwargs):
         engine._on_corruption = "degrade"
     engine._segments = segments
     engine._doc_map = LazyDocumentMap(table)
-    planner_damage = damage.get("planner/model")
-    if planner_damage is not None:
-        engine._degraded["(planner)"] = (
-            f"planner model dropped: {planner_damage}"
-        )
-    elif engine.planner is None and store.has("planner/model"):
-        from repro.search.planner import CalibratedPlanner
-
-        engine.planner = CalibratedPlanner.from_payload(
-            store.json("planner/model")
-        )
     return engine
 
 

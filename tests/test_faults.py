@@ -46,6 +46,7 @@ from repro.faults import (
 )
 from repro.live import LiveSearchEngine
 from repro.store import SegmentReader
+from repro.store.format import SegmentWriter, rewrite_manifest
 from repro.store.fsck import fsck_store, repair_store
 
 
@@ -363,6 +364,92 @@ class TestBitFlipDetection:
         report = fsck_store(str(tmp_path / "nowhere"))
         assert report.exit_code == 2
         assert report.error
+
+
+def add_legacy_planner_segment(path):
+    """Append a ``planner/model`` JSON segment the way older writers
+    did: one ``add_json`` segment plus ``metadata["planner"] = True``."""
+    reader = SegmentReader(path, verify=True)
+    manifest = dict(reader.manifest)
+    writer = SegmentWriter(path, fresh=False)
+    writer.add_json(
+        "planner/model",
+        {
+            "format": 1,
+            "hot_support": 16,
+            "model": {"min_samples": 8, "samples": {}, "weights": {}},
+            "memory": [],
+        },
+    )
+    manifest["files"] = {**manifest["files"], **writer._files}
+    manifest["metadata"] = {**manifest["metadata"], "planner": True}
+    rewrite_manifest(path, manifest)
+
+
+def flip_last_byte(path):
+    with open(path, "r+b") as handle:
+        handle.seek(-1, os.SEEK_END)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_END)
+        handle.write(bytes([byte[0] ^ 0x01]))
+
+
+class TestLegacyPlannerSegment:
+    """Stores written before the query planner was removed may carry a
+    ``planner/model`` segment; it is auxiliary and nothing reads it."""
+
+    def _stores(self, tmp_path):
+        engine, mined = build_engine()
+        plain = str(tmp_path / "plain")
+        legacy = str(tmp_path / "legacy")
+        save_search_index(plain, engine, "regional")
+        save_search_index(legacy, engine, "regional")
+        add_legacy_planner_segment(legacy)
+        return plain, legacy, mined
+
+    @staticmethod
+    def rankings(path, terms, **kwargs):
+        engine = BurstySearchEngine.from_store(path, **kwargs)
+        return {
+            query: [
+                (r.document.doc_id, float(r.score).hex())
+                for r in engine.search(query, k=10)
+            ]
+            for query in [*terms, " ".join(terms)]
+        }
+
+    def test_serves_identically_to_a_store_without_it(self, tmp_path):
+        plain, legacy, mined = self._stores(tmp_path)
+        assert SegmentReader(legacy).has("planner/model")
+        terms = sorted(mined)
+        assert self.rankings(legacy, terms) == self.rankings(plain, terms)
+
+    def test_degraded_load_tolerates_flipped_segment(self, tmp_path):
+        plain, legacy, mined = self._stores(tmp_path)
+        flip_last_byte(os.path.join(legacy, "planner", "model"))
+        with pytest.raises(StoreCorruptionError):
+            BurstySearchEngine.from_store(legacy)
+        terms = sorted(mined)
+        assert self.rankings(
+            legacy, terms, on_corruption="degrade"
+        ) == self.rankings(plain, terms)
+
+    def test_repair_quarantines_and_drops_it(self, tmp_path):
+        plain, legacy, mined = self._stores(tmp_path)
+        flip_last_byte(os.path.join(legacy, "planner", "model"))
+        report = repair_store(legacy)
+        assert report.quarantined == ("planner/model",)
+        assert report.dropped == ("planner/model",)
+        assert report.rebuilt == ()
+        assert os.path.exists(
+            os.path.join(legacy, "quarantine", "planner", "model")
+        )
+        reader = SegmentReader(legacy, verify=True)
+        assert not reader.has("planner/model")
+        assert "planner" not in reader.manifest["metadata"]
+        assert fsck_store(legacy).exit_code == 0
+        terms = sorted(mined)
+        assert self.rankings(legacy, terms) == self.rankings(plain, terms)
 
 
 class TestErrorMessages:

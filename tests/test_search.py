@@ -8,16 +8,20 @@ from repro.core import CombinatorialPattern, STComb, STLocal
 from repro.errors import SearchError
 from repro.intervals import Interval
 from repro.search import (
+    STRATEGIES,
     BurstySearchEngine,
     InvertedIndex,
     Posting,
     PostingList,
     TemporalSearchEngine,
     binary_relevance,
+    blockmax_topk,
     exhaustive_topk,
     log_relevance,
     raw_relevance,
+    scan_topk,
     threshold_topk,
+    topk,
 )
 from repro.spatial import Point
 from repro.streams import Document, SpatiotemporalCollection
@@ -523,3 +527,92 @@ class TestEngineStalenessRegressions:
         first = engine.patterns_for("quake")
         engine.search("quake", k=3)
         assert engine.patterns_for("quake") is first  # still cached
+
+
+def _quake_engine():
+    coll, _ = build_event_collection()
+    return BurstySearchEngine(coll, STComb().mine(coll, terms=["quake"]))
+
+
+def _boom_live_engine():
+    from repro.core.config import STLocalConfig
+    from repro.live import LiveCollection, LiveSearchEngine
+
+    live = LiveCollection(12)
+    for i, sid in enumerate(("s0", "s1", "s2")):
+        live.add_stream(sid, Point(float(i), 0.0))
+    doc_id = 0
+    for t in range(10):
+        docs = []
+        for sid in ("s0", "s1") if 6 <= t <= 8 else ():
+            docs.append(Document(doc_id, sid, t, ("boom", "boom")))
+            doc_id += 1
+        live.ingest_snapshot(t, docs)
+    return LiveSearchEngine(live, config=STLocalConfig(warmup=2))
+
+
+_K_LISTS = [
+    PostingList([Posting(d, float(10 - d)) for d in range(6)]),
+    PostingList([Posting(d, float(d)) for d in range(1, 7)]),
+]
+
+
+def _topk_with(strategy):
+    return lambda k: topk(_K_LISTS, k, strategy)
+
+
+#: One callable per top-k entry point: ``call(k)`` serves a query.
+K_ENTRY_POINTS = {
+    **{f"topk[{name}]": _topk_with(name) for name in STRATEGIES},
+    "threshold_topk": lambda k: threshold_topk(_K_LISTS, k),
+    "blockmax_topk": lambda k: blockmax_topk(_K_LISTS, k),
+    "scan_topk": lambda k: scan_topk(_K_LISTS, k),
+    "exhaustive_topk": lambda k: exhaustive_topk(_K_LISTS, k),
+    "BurstySearchEngine.search": lambda k: _quake_engine().search(
+        "quake", k=k
+    ),
+    "LiveSearchEngine.search": lambda k: _boom_live_engine().search(
+        "boom", k=k
+    ),
+}
+
+
+class TestTopKArgument:
+    """``k`` must be a positive integer at every top-k entry point.
+
+    Non-integral ``k`` used to leak builtin errors that differed by
+    strategy (``scan`` raised ``TypeError`` on ``2.5`` where ``ta`` and
+    ``blockmax`` answered 3 results; NaN raised ``IndexError``)."""
+
+    @pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "k", [2.5, float("nan"), "3", None, 0, -1, 3.0],
+        ids=["2.5", "nan", "str", "None", "0", "-1", "3.0"],
+    )
+    def test_bad_k_raises_search_error(self, entry, k):
+        with pytest.raises(SearchError):
+            K_ENTRY_POINTS[entry](k)
+
+    @pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+    def test_integer_like_k_accepted(self, entry):
+        import numpy as np
+
+        def ranking(answer):
+            results = answer[0] if isinstance(answer, tuple) else answer
+            return [
+                (r.doc_id if hasattr(r, "doc_id") else r.document.doc_id,
+                 r.score)
+                for r in results
+            ]
+
+        call = K_ENTRY_POINTS[entry]
+        two = ranking(call(2))
+        assert len(two) == 2
+        assert ranking(call(np.int64(2))) == two
+        assert ranking(call(True)) == two[:1]
+
+    def test_live_cache_hit_does_not_bypass_k_check(self):
+        engine = _boom_live_engine()
+        assert engine.search("boom", k=3)
+        with pytest.raises(SearchError):
+            engine.search("boom", k=3.0)
