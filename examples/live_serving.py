@@ -12,7 +12,7 @@ Watch three mechanisms as the feed plays:
 * per-term invalidation — a query whose term saw no new documents is
   served from its existing posting list ("served without any work"
   below), while a term whose pattern set shifted rebuilds only its own
-  posting list; pattern-stable terms take the cheap delta path.
+  posting list; pattern-stable terms only score their new documents.
 
 At the end the live state is cross-checked against a cold batch
 rebuild — the same differential oracle the test suite enforces.
@@ -49,7 +49,7 @@ def main() -> None:
     }
     for city, point in cities.items():
         live.add_stream(city, point)
-    engine = LiveSearchEngine(live, cache_size=64, compaction_threshold=16)
+    engine = LiveSearchEngine(live, cache_size=64)
 
     doc_id = 0
 
@@ -85,7 +85,7 @@ def main() -> None:
         live.ingest_snapshot(day, docs)
 
         if day % 6 == 5:
-            engine.search("festival", k=3)  # background term: delta path
+            engine.search("festival", k=3)  # background term: incremental path
             results = engine.search("earthquake", k=3)
             hit_check = engine.search("earthquake", k=3)  # same epoch → LRU hit
             assert hit_check == results
@@ -105,8 +105,7 @@ def main() -> None:
         f"\nserving stats: {stats.cache_hits} LRU hits / "
         f"{stats.cache_misses} misses, {stats.rebuilds} posting rebuilds, "
         f"{stats.delta_updates} delta updates, "
-        f"{stats.served_current} terms served without any work, "
-        f"{engine.index.compactions} compactions"
+        f"{stats.served_current} terms served without any work"
     )
 
     # ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.core import (
 )
 from repro.errors import ReproError
 from repro.intervals import Interval
-from repro.live import LiveCollection, LiveIndex, LiveSearchEngine
+from repro.live import LiveCollection, LiveSearchEngine
 from repro.pipeline import BatchMiner, IncrementalFeeder
 from repro.search import BurstySearchEngine, SearchResult, TemporalSearchEngine
 from repro.spatial import Point, Rectangle
@@ -84,7 +84,6 @@ __all__ = [
     "KleinbergBurstDetector",
     "LappasBurstDetector",
     "LiveCollection",
-    "LiveIndex",
     "LiveSearchEngine",
     "OnlineMaxSegments",
     "Point",

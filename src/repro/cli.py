@@ -1179,8 +1179,7 @@ def _run_ingest(args: argparse.Namespace) -> None:
     print(
         f"serving stats: {stats.cache_hits} cache hit(s), "
         f"{stats.cache_misses} miss(es), {stats.rebuilds} rebuild(s), "
-        f"{stats.delta_updates} delta update(s), "
-        f"{engine.index.compactions} compaction(s)"
+        f"{stats.delta_updates} delta update(s)"
     )
 
     if args.checkpoint_to:

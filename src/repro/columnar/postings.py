@@ -6,7 +6,7 @@ random access — fine per query term, expensive when the search layer
 builds postings for an entire vocabulary.  :class:`PostingArray` is the
 columnar drop-in: scores, tiebreaks and document ids live in parallel
 arrays, ordering is one ``np.lexsort`` over the same ``(-score,
-crc32(doc))`` key, and merge/compaction are array concatenations.
+crc32(doc))`` key, and a merge is one array concatenation.
 
 Order is *byte-identical* to the legacy list: ``lexsort`` is a stable
 mergesort over the identical key values, so equal keys preserve input
@@ -30,8 +30,8 @@ class PostingArray(PostingList):
     """A term's postings as struct-of-arrays, sorted by score descending.
 
     Implements the full sorted-access / random-access protocol of
-    :class:`~repro.search.inverted_index.PostingList` (TA, delta merge
-    and compaction all operate on it unchanged).
+    :class:`~repro.search.inverted_index.PostingList` (TA and the
+    vectorized top-k kernel operate on it unchanged).
 
     Args:
         doc_ids: Document identifiers, in scoring order.
@@ -198,11 +198,12 @@ class PostingArray(PostingList):
     def merged_with(self, delta: "PostingArray") -> "PostingArray":
         """Merge another sorted array into a fresh sorted array.
 
-        Equivalent to compacting a
-        :class:`~repro.live.index.DeltaPostingList` built over the two:
+        Contract: the result reads exactly like a cold
+        ``PostingList(base + delta)`` over the two lists' postings —
         concatenating base-then-delta and stable-sorting by the shared
-        key yields the exact two-way merge order, base side preferred
-        on full-key ties.
+        ``(-score, tiebreak)`` key prefers the base side on full-key
+        ties, as the cold constructor's stable sort does.  The live
+        engine merges a term's newly scored documents this way.
         """
         ids = self._ids + delta._ids
         scores = np.concatenate((self._scores, delta._scores))

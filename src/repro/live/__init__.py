@@ -9,11 +9,11 @@ is the online counterpart:
 * :class:`LiveCollection` — append-only ingestion with an epoch
   counter, a sealed/open snapshot watermark, and per-term views
   maintained in ``O(|terms(d)|)`` per document;
-* :class:`LiveIndex` / :class:`DeltaPostingList` — per-term delta
-  posting lists merged (exactly) at query time, compacted past a
-  threshold;
-* :class:`LiveSearchEngine` — per-term cache invalidation, a bounded
-  LRU result cache keyed on the epoch, and lazily re-mined STLocal
+* :class:`LiveSearchEngine` — one columnar posting list per term,
+  re-synced lazily when a document containing the term arrives
+  (newly ingested documents are scored and merged in while the term's
+  patterns hold; a pattern shift rebuilds the list), a bounded LRU
+  result cache keyed on the epoch, and lazily re-mined STLocal
   patterns fed snapshot-by-snapshot through
   :class:`~repro.pipeline.IncrementalFeeder`.
 
@@ -24,12 +24,9 @@ differential harness in ``tests/test_live_differential.py``.
 
 from repro.live.collection import LiveCollection
 from repro.live.engine import LiveSearchEngine, ServingStats
-from repro.live.index import DeltaPostingList, LiveIndex
 
 __all__ = [
-    "DeltaPostingList",
     "LiveCollection",
-    "LiveIndex",
     "LiveSearchEngine",
     "ServingStats",
 ]

@@ -11,11 +11,11 @@ maintained incrementally:
   snapshots are committed into a durable
   :class:`~repro.core.stlocal.STLocalTermTracker`, the open snapshot is
   previewed on a fork;
-* **posting lists** live in a :class:`~repro.live.index.LiveIndex`:
-  when a term's pattern set is unchanged, documents ingested since the
-  last sync are scored against it and appended as a delta (``O(new
-  docs)``); when the pattern set shifted, that term's list — and only
-  that term's — is rebuilt;
+* **posting lists** are one columnar
+  :class:`~repro.columnar.postings.PostingArray` per term: when a
+  term's pattern set is unchanged, only the documents ingested since
+  the last sync are scored and merged into it; when the pattern set
+  shifted, that term's list — and only that term's — is rebuilt;
 * **consistency** is tracked per term with
   :meth:`~repro.live.collection.LiveCollection.term_version`: a term's
   cached state is provably current unless a document *containing the
@@ -37,11 +37,11 @@ import dataclasses
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.columnar.postings import PostingArray
 from repro.core.config import STLocalConfig
 from repro.core.patterns import RegionalPattern
 from repro.errors import SearchError
 from repro.live.collection import LiveCollection
-from repro.live.index import LiveIndex
 from repro.pipeline.incremental import IncrementalFeeder
 from repro.search.engine import SearchResult, _default_aggregate, score_posting
 from repro.search.inverted_index import Posting
@@ -61,7 +61,8 @@ class ServingStats:
         cache_hits: Queries answered from the LRU result cache.
         cache_misses: Queries that ran the Threshold Algorithm.
         rebuilds: Full per-term posting-list rebuilds (pattern shift).
-        delta_updates: Incremental per-term delta appends.
+        delta_updates: Per-term syncs that scored only the documents
+            ingested since the term's last sync (pattern set unchanged).
         served_current: Terms served from an already-current state.
     """
 
@@ -91,15 +92,6 @@ class LiveSearchEngine:
             max, the paper's best setting).
         config: STLocal settings for the live miners.
         cache_size: Capacity of the LRU result cache.
-        compaction_threshold: Delta size that triggers a posting-list
-            compaction *on the ingest path* (see
-            :class:`~repro.live.index.LiveIndex`), bounding delta
-            growth for terms that are written but not queried.  A
-            *queried* term compacts its pending delta immediately
-            regardless of the threshold: the vectorized kernel reads
-            the compacted columnar base directly, whereas serving a
-            lazy merge view would re-materialise the whole list on
-            every query — strictly more work than compacting once.
         strategy: Default top-k execution strategy (``auto`` runs
             ``scan``; see :mod:`repro.search.topk`).  Strategies are
             byte-identical in output, so the result cache is shared
@@ -113,7 +105,6 @@ class LiveSearchEngine:
         aggregate: Callable[[Sequence[float]], float] = _default_aggregate,
         config: Optional[STLocalConfig] = None,
         cache_size: int = 128,
-        compaction_threshold: int = 32,
         strategy: str = "auto",
     ) -> None:
         if cache_size < 1:
@@ -128,7 +119,7 @@ class LiveSearchEngine:
         self.aggregate = aggregate
         self.config = config
         self._feeder: Optional[IncrementalFeeder] = None
-        self.index = LiveIndex(compaction_threshold)
+        self.postings: Dict[str, PostingArray] = {}
         self.stats = ServingStats()
         self._states: Dict[str, _TermState] = {}
         self._cache: "OrderedDict[Tuple, List[SearchResult]]" = OrderedDict()
@@ -204,11 +195,10 @@ class LiveSearchEngine:
         """Persist this engine's full serving state as a ``live`` store.
 
         Captures the arrival-ordered document table, the sealed tracker
-        state of every mined term, the compacted posting bases, the
-        per-term sync cursors, and the collection's watermark and epoch
-        — everything :meth:`restore` needs to resume ingestion and
-        serving without replaying the feed.  Pending posting deltas are
-        compacted first, so the persisted bases are exact.
+        state of every mined term, the per-term posting lists and sync
+        cursors, and the collection's watermark and epoch — everything
+        :meth:`restore` needs to resume ingestion and serving without
+        replaying the feed.
 
         ``codec`` picks the posting-column layout (``"raw"`` or
         ``"packed"``), exactly as ``repro save --codec`` does for index
@@ -275,14 +265,9 @@ class LiveSearchEngine:
     # ------------------------------------------------------------------
     # Per-term maintenance
     # ------------------------------------------------------------------
-    def _term_list(self, term: str):
+    def _term_list(self, term: str) -> PostingArray:
         self._sync_term(term)
-        # Compact any pending delta before querying: the compacted base
-        # is a columnar PostingArray whose score/tiebreak columns the
-        # vectorized top-k kernel consumes directly (order-exact, so
-        # results are unchanged).
-        self.index.compact_pending(term)
-        return self.index.get(term)
+        return self.postings[term]
 
     def _sync_term(self, term: str) -> None:
         """Bring one term's patterns + postings up to the current epoch."""
@@ -297,16 +282,23 @@ class LiveSearchEngine:
             # Pattern shift (or first touch): every existing posting's
             # burstiness factor may have changed — rebuild this term.
             documents = self.live.documents_with(term)
-            self.index.set_base(term, self._score(documents, term, patterns))
+            self.postings[term] = PostingArray.from_postings(
+                self._score(documents, term, patterns)
+            )
             self._states[term] = _TermState(
                 patterns=patterns, version=version, doc_cursor=len(documents)
             )
             self.stats.rebuilds += 1
             return
         # Same pattern set: only the documents ingested since the last
-        # sync need scoring; they join the term's delta.
+        # sync need scoring.  The merge is order-exact against a cold
+        # PostingList; with nothing new the list object stays as it is.
         fresh = self.live.documents_with(term, start=state.doc_cursor)
-        self.index.append_delta(term, self._score(fresh, term, patterns))
+        scored = self._score(fresh, term, patterns)
+        if scored:
+            self.postings[term] = self.postings[term].merged_with(
+                PostingArray.from_postings(scored)
+            )
         state.version = version
         state.doc_cursor += len(fresh)
         self.stats.delta_updates += 1

@@ -108,12 +108,13 @@ def random_access_map(posting_list) -> Dict[Hashable, float]:
     kernels in :mod:`repro.search.topk` both gather scores from this
     map instead of probing ``random_access`` once per document.
 
-    Every posting-list implementation in the repo (``PostingList``,
-    ``PostingArray``, ``DeltaPostingList``) exposes its map as
-    ``_by_doc``; unknown implementations fall back to materialising the
-    sorted-access sequence, with later (lower-ranked) duplicates
-    overwriting earlier ones exactly as the ``PostingList`` constructor
-    does.
+    Every posting-list implementation in the repo (``PostingList`` and
+    ``PostingArray``, including a ``PostingArray.merged_with`` result,
+    which reads exactly like a cold ``PostingList`` over both inputs)
+    exposes its map as ``_by_doc``; unknown implementations fall back
+    to materialising the sorted-access sequence, with later
+    (lower-ranked) duplicates overwriting earlier ones exactly as the
+    ``PostingList`` constructor does.
     """
     by_doc = getattr(posting_list, "_by_doc", None)
     if isinstance(by_doc, dict):

@@ -12,8 +12,8 @@ Three store *kinds*, all sharing the segment format of
   state when available): what ``BatchMiner.mine_*(save_to=...)``
   writes, for pipelines that mine once and score elsewhere.
 * ``live`` — a :class:`repro.live.LiveSearchEngine` checkpoint:
-  arrival-ordered document table, sealed tracker state, compacted
-  posting bases, per-term sync cursors, watermark and epoch — enough
+  arrival-ordered document table, sealed tracker state, per-term
+  posting lists and sync cursors, watermark and epoch — enough
   to resume ingestion and serving exactly where the saved engine
   stopped, without replaying the feed.
 
@@ -187,11 +187,11 @@ def _check_scoring_fingerprints(store: SegmentReader, engine) -> None:
     """Reject engine/store pairs whose scoring callables diverge.
 
     Persisted posting scores embed the relevance/aggregate functions
-    they were computed with; serving (or appending deltas to) them
-    through different callables would silently mix two scoring models
-    in one index.  Callables cannot be persisted, so the manifest
-    records their module-qualified names and restore insists they
-    match.
+    they were computed with; serving them (or merging newly scored
+    documents into them) through different callables would silently
+    mix two scoring models in one index.  Callables cannot be
+    persisted, so the manifest records their module-qualified names and
+    restore insists they match.
     """
     recorded = store.metadata.get("scoring")
     if not recorded:
@@ -557,8 +557,6 @@ def _verify_live_store(store: SegmentReader, k: int) -> List[str]:
 def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
     """Persist a :class:`LiveSearchEngine` checkpoint (see module doc)."""
     live = engine.live
-    for term in engine.index.terms():
-        engine.index.compact_pending(term)
     config = engine.config
     if config is None:
         from repro.core.config import STLocalConfig
@@ -577,8 +575,7 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
     states = engine._states
     patterns = {term: list(state.patterns) for term, state in states.items()}
     encode_patterns(writer, "patterns", patterns, "regional")
-    lists = {term: engine.index.get(term) for term in engine.index.terms()}
-    encode_posting_lists(writer, "postings", lists, codec=codec)
+    encode_posting_lists(writer, "postings", engine.postings, codec=codec)
     trackers = engine._feeder._trackers if engine._feeder is not None else {}
     encode_trackers(writer, "trackers", trackers)
     writer.add_json(
@@ -587,7 +584,6 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
             "watermark": live.watermark,
             "epoch": live.epoch,
             "config": config_payload,
-            "compaction_threshold": engine.index.compaction_threshold,
             "states": [
                 {
                     "term": term,
@@ -617,16 +613,16 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
 def restore_live_checkpoint(path: StoreLike, engine) -> None:
     """Load a ``live`` checkpoint into an existing engine (in place).
 
-    Replaces the engine's collection, index, tracker feeder and
-    per-term sync state with the persisted snapshot, resets the serving
-    statistics and clears the result cache — counters and cached
-    rankings describe the *previous* backing index, and surviving a
-    restore would report stale hit-rates for an index they never
-    measured.
+    Replaces the engine's collection, posting lists, tracker feeder
+    and per-term sync state with the persisted snapshot, resets the
+    serving statistics and clears the result cache — counters and
+    cached rankings describe the *previous* backing index, and
+    surviving a restore would report stale hit-rates for an index they
+    never measured.  ``live/meta.json`` keys that older checkpoints
+    wrote and this version no longer reads are ignored.
     """
     from repro.live.collection import LiveCollection
     from repro.live.engine import _TermState, ServingStats
-    from repro.live.index import LiveIndex
     from repro.pipeline.incremental import IncrementalFeeder
 
     store = open_store(path)
@@ -635,8 +631,8 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
             f"store {store.path!r} is a {store.kind!r} store, not a "
             "'live' checkpoint"
         )
-    # Persisted posting bases embed the checkpoint engine's scoring
-    # callables; appending deltas scored by different ones would mix
+    # Persisted posting lists embed the checkpoint engine's scoring
+    # callables; merging in postings scored by different ones would mix
     # two scoring models in one list.
     _check_scoring_fingerprints(store, engine)
     live_meta = store.json("live/meta.json")
@@ -669,10 +665,8 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
     )
     feeder._trackers.update(trackers)
 
-    index = LiveIndex(int(live_meta["compaction_threshold"]))
-    postings = PostingSegment(store, "postings")
-    for term in postings.terms:
-        index.set_base(term, postings.posting_array(term))
+    segment = PostingSegment(store, "postings")
+    postings = {term: segment.posting_array(term) for term in segment.terms}
 
     _, patterns = decode_patterns(store, "patterns")
     states = {}
@@ -686,7 +680,7 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
 
     engine.live = live
     engine._feeder = feeder
-    engine.index = index
+    engine.postings = postings
     engine._states = states
     engine._cache.clear()
     engine.stats = ServingStats()

@@ -108,10 +108,10 @@ class TestInvalidationReachability:
             "violation",
             "invalidation-reachability",
         )
-        bad = marked_line(tree, "src/repro/live/index.py", "bad")
+        bad = marked_line(tree, "src/repro/live/segments.py", "bad")
         assert [
             (os.path.basename(f.path), f.line) for f in report.findings
-        ] == [("index.py", bad)]
+        ] == [("segments.py", bad)]
         [finding] = report.findings
         assert "add_segment" in finding.message
 
@@ -261,7 +261,7 @@ class TestGraphResolution:
     def test_unresolved_super_delegation_counts_as_bump(self):
         graph = self._graph(
             {
-                "src/repro/live/index.py": (
+                "src/repro/live/segments.py": (
                     "class Index(dict):\n"
                     "    def __init__(self):\n"
                     "        self._version = 0\n"
@@ -271,7 +271,7 @@ class TestGraphResolution:
             }
         )
         bumps = graph.param_bumps()
-        assert "self" in bumps["repro.live.index.Index.update_entry"]
+        assert "self" in bumps["repro.live.segments.Index.update_entry"]
 
 
 class TestStats:

@@ -34,7 +34,6 @@ from repro.columnar.kernels import (
 )
 from repro.columnar.postings import PostingArray
 from repro.core.config import STLocalConfig
-from repro.live.index import DeltaPostingList, LiveIndex
 from repro.search.inverted_index import Posting, PostingList
 from repro.spatial.discrepancy import (
     WeightedPoint,
@@ -442,9 +441,7 @@ class TestPostingDifferential:
             for p in {p.doc_id: p for p in delta}.values()
             if p.doc_id not in base_ids
         ]
-        reference = DeltaPostingList(
-            PostingList(base), PostingList(delta)
-        ).compact()
+        reference = PostingList(base + delta)
         columnar = PostingArray.from_postings(base).merged_with(
             PostingArray.from_postings(delta)
         )
@@ -453,19 +450,16 @@ class TestPostingDifferential:
         ]
 
     def test_live_compaction_columnar_equals_reference(self):
+        # Successive incremental syncs merge batch after batch into one
+        # array; the result must read like a cold list over everything.
         rng = random.Random(17)
-        columnar_index = LiveIndex(compaction_threshold=4)
-        columnar_index.set_base(
-            "t", [Posting(f"b{i}", rng.uniform(0, 5)) for i in range(6)]
-        )
-        mirror_base = list(columnar_index.get("t"))
+        base = [Posting(f"b{i}", rng.uniform(0, 5)) for i in range(6)]
         deltas = [Posting(f"d{i}", rng.uniform(0, 5)) for i in range(8)]
-        columnar_index.append_delta("t", deltas[:4])  # triggers compaction
-        assert columnar_index.compactions == 1
-        reference = DeltaPostingList(
-            PostingList(mirror_base), PostingList(deltas[:4])
-        ).compact()
-        assert [(p.doc_id, p.score) for p in columnar_index.get("t")] == [
+        merged = PostingArray.from_postings(base)
+        for batch in (deltas[:4], deltas[4:]):
+            merged = merged.merged_with(PostingArray.from_postings(batch))
+        reference = PostingList(base + deltas)
+        assert [(p.doc_id, p.score) for p in merged] == [
             (p.doc_id, p.score) for p in reference
         ]
 

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.columnar.postings import PostingArray
 from repro.core.config import STLocalConfig
 from repro.core.stlocal import STLocalTermTracker
 from repro.errors import SearchError, StreamError
-from repro.live import DeltaPostingList, LiveCollection, LiveIndex, LiveSearchEngine
+from repro.live import LiveCollection, LiveSearchEngine
 from repro.pipeline import IncrementalFeeder
 from repro.search import Posting, PostingList, exhaustive_topk, threshold_topk
 from repro.spatial import Point
@@ -114,29 +115,28 @@ def _as_pairs(plist):
     return [(p.doc_id, p.score) for p in plist]
 
 
-class TestDeltaPostingList:
+def _merged(base, delta):
+    """What the live engine stores after an incremental sync."""
+    return PostingArray.from_postings(base).merged_with(
+        PostingArray.from_postings(delta)
+    )
+
+
+class TestMergedPostingArray:
+    """``merged_with`` reads exactly like a cold ``PostingList``."""
+
     def test_merge_order_matches_cold_rebuild(self):
         base_postings = [Posting("a", 3.0), Posting("b", 1.0), Posting("c", 2.0)]
         delta_postings = [Posting("d", 2.5), Posting("e", 0.5)]
-        merged = DeltaPostingList(
-            PostingList(base_postings), PostingList(delta_postings)
-        )
+        merged = _merged(base_postings, delta_postings)
         cold = PostingList(base_postings + delta_postings)
         assert _as_pairs(merged) == _as_pairs(cold)
         assert len(merged) == 5
-
-    def test_sorted_access_lazy_and_past_end(self):
-        merged = DeltaPostingList(
-            PostingList([Posting("a", 1.0)]), PostingList([Posting("b", 2.0)])
-        )
-        assert merged.sorted_access(0).doc_id == "b"
-        assert merged.sorted_access(1).doc_id == "a"
-        assert merged.sorted_access(2) is None
+        assert merged.sorted_access(0) == cold.sorted_access(0)
+        assert merged.sorted_access(5) is None
 
     def test_random_access_covers_both_sides(self):
-        merged = DeltaPostingList(
-            PostingList([Posting("a", 1.0)]), PostingList([Posting("b", 2.0)])
-        )
+        merged = _merged([Posting("a", 1.0)], [Posting("b", 2.0)])
         assert merged.random_access("a") == 1.0
         assert merged.random_access("b") == 2.0
         assert merged.random_access("zzz") is None
@@ -145,125 +145,27 @@ class TestDeltaPostingList:
         # Equal scores: the tiebreak hash decides, exactly as in a
         # from-scratch posting list.
         postings = [Posting(f"doc{i}", 1.0) for i in range(6)]
-        merged = DeltaPostingList(
-            PostingList(postings[:3]), PostingList(postings[3:])
-        )
+        merged = _merged(postings[:3], postings[3:])
         assert _as_pairs(merged) == _as_pairs(PostingList(postings))
 
-    def test_top_and_compact(self):
-        merged = DeltaPostingList(
-            PostingList([Posting("a", 3.0), Posting("b", 1.0)]),
-            PostingList([Posting("c", 2.0)]),
-        )
-        assert [p.doc_id for p in merged.top(2)] == ["a", "c"]
-        compacted = merged.compact()
-        assert isinstance(compacted, PostingList)
-        assert _as_pairs(compacted) == [("a", 3.0), ("c", 2.0), ("b", 1.0)]
-
-
-class TestLiveIndex:
-    def test_delta_requires_base(self):
-        index = LiveIndex()
-        with pytest.raises(SearchError):
-            index.append_delta("t", [Posting("a", 1.0)])
-
-    def test_index_accessors(self):
-        index = LiveIndex()
-        index.set_base("t", [Posting("a", 1.0)])
-        assert "t" in index and "u" not in index
-        assert index.terms() == ["t"]
-        assert len(index) == 1
-        assert index.delta_size("t") == 0
-
-    def test_get_without_delta_returns_plain_list(self):
-        index = LiveIndex()
-        index.set_base("t", [Posting("a", 1.0)])
-        assert isinstance(index.get("t"), PostingList)
-        assert index.get("zzz") is None
-
-    def test_delta_merged_on_read(self):
-        index = LiveIndex(compaction_threshold=100)
-        index.set_base("t", [Posting("a", 3.0)])
-        index.append_delta("t", [Posting("b", 4.0)])
-        view = index.get("t")
-        assert isinstance(view, DeltaPostingList)
-        assert _as_pairs(view) == [("b", 4.0), ("a", 3.0)]
-        assert index.delta_size("t") == 1
-
-    def test_compaction_threshold(self):
-        index = LiveIndex(compaction_threshold=3)
-        index.set_base("t", [Posting("base", 10.0)])
-        for i in range(3):
-            index.append_delta("t", [Posting(i, float(i))])
-        assert index.compactions == 1
-        assert index.delta_size("t") == 0
-        compacted = index.get("t")
-        assert isinstance(compacted, PostingList)
-        assert _as_pairs(compacted) == _as_pairs(
-            PostingList([Posting("base", 10.0)] + [Posting(i, float(i)) for i in range(3)])
-        )
-
-    def test_duplicate_documents_rejected(self):
-        index = LiveIndex()
-        index.set_base("t", [Posting("a", 1.0)])
-        with pytest.raises(SearchError):
-            index.append_delta("t", [Posting("a", 2.0)])
-        index.append_delta("t", [Posting("b", 2.0)])
-        with pytest.raises(SearchError):
-            index.append_delta("t", [Posting("b", 3.0)])
-
-    def test_duplicate_within_batch_rejected_atomically(self):
-        index = LiveIndex()
-        index.set_base("t", [Posting("a", 1.0)])
-        with pytest.raises(SearchError):
-            index.append_delta("t", [Posting("b", 2.0), Posting("b", 3.0)])
-        # The bad batch left no trace; its ids are appendable again.
-        assert index.delta_size("t") == 0
-        index.append_delta("t", [Posting("b", 2.0)])
-        assert index.delta_size("t") == 1
-
-    def test_duplicate_check_survives_compaction(self):
-        index = LiveIndex(compaction_threshold=1)
-        index.set_base("t", [])
-        index.append_delta("t", [Posting("a", 1.0)])  # compacts into base
-        with pytest.raises(SearchError):
-            index.append_delta("t", [Posting("a", 2.0)])
-
-    def test_set_base_drops_delta_and_invalidate(self):
-        index = LiveIndex()
-        index.set_base("t", [Posting("a", 1.0)])
-        index.append_delta("t", [Posting("b", 2.0)])
-        index.set_base("t", [Posting("c", 5.0)])
-        assert _as_pairs(index.get("t")) == [("c", 5.0)]
-        assert index.invalidate("t") is True
-        assert index.invalidate("t") is False
-        assert index.get("t") is None
-
-    def test_threshold_topk_over_delta_merged_lists(self):
-        """TA over a merged view must equal TA over a cold rebuild."""
+    def test_threshold_topk_over_merged_lists(self):
+        """TA over merged arrays must equal TA over a cold rebuild."""
         base_a = [Posting(i, float(i % 7)) for i in range(20)]
         delta_a = [Posting(100 + i, 6.5 - i) for i in range(8)]
         base_b = [Posting(i, float((i * 3) % 5)) for i in range(15)]
         delta_b = [Posting(100 + i, float(i % 4)) for i in range(8)]
-        index = LiveIndex(compaction_threshold=1000)
-        index.set_base("a", base_a)
-        index.append_delta("a", delta_a)
-        index.set_base("b", base_b)
-        index.append_delta("b", delta_b)
-        live_lists = [index.get("a"), index.get("b")]
+        merged_lists = [_merged(base_a, delta_a), _merged(base_b, delta_b)]
         cold_lists = [
             PostingList(base_a + delta_a),
             PostingList(base_b + delta_b),
         ]
+        as_pairs = lambda rs: [(r.doc_id, r.score) for r in rs]
         for k in (1, 3, 10, 50):
-            live_results, _ = threshold_topk(
-                [index.get("a"), index.get("b")], k
-            )
+            merged_results, _ = threshold_topk(merged_lists, k)
             cold_results, _ = threshold_topk(cold_lists, k)
-            reference = exhaustive_topk(live_lists, k)
-            as_pairs = lambda rs: [(r.doc_id, r.score) for r in rs]
-            assert as_pairs(live_results) == as_pairs(cold_results)
-            assert as_pairs(live_results) == as_pairs(reference)
+            reference = exhaustive_topk(merged_lists, k)
+            assert as_pairs(merged_results) == as_pairs(cold_results)
+            assert as_pairs(merged_results) == as_pairs(reference)
 
 
 class TestTrackerFork:
@@ -455,21 +357,16 @@ class TestLiveSearchEngine:
         with pytest.raises(SearchError):
             engine.search("boom", k=3, strategy="quantum")
 
-    def test_query_compacts_pending_delta_to_columnar_base(self):
-        from repro.columnar.postings import PostingArray
-
+    def test_query_serves_columnar_postings(self):
         live = make_live(timeline=16)
-        engine = LiveSearchEngine(
-            live, config=STLocalConfig(warmup=2), compaction_threshold=1000
-        )
+        engine = LiveSearchEngine(live, config=STLocalConfig(warmup=2))
         self._seed_burst(live)
         engine.search("boom", k=3)
-        # New documents join the delta; the next query compacts it so
-        # the kernel reads a columnar base, with identical results.
+        # The re-synced term is one columnar array the kernel reads
+        # directly, and it carries the newly ingested document.
         live.ingest(Document(999, "s0", 9, ("boom", "boom", "boom")))
         results = engine.search("boom", k=5)
-        assert engine.index.delta_size("boom") == 0
-        assert isinstance(engine.index.get("boom"), PostingArray)
+        assert isinstance(engine.postings["boom"], PostingArray)
         assert any(r.document.doc_id == 999 for r in results)
 
     def test_ingest_invalidates_result_cache(self):
@@ -509,10 +406,14 @@ class TestLiveSearchEngine:
         # term's documents keep arriving.
         live.ingest_snapshot(0, [Document(1, "s0", 0, ("calm",))])
         engine.search("calm", k=3)
+        postings = engine.postings["calm"]
         live.ingest_snapshot(1, [Document(2, "s0", 1, ("calm",))])
         engine.search("calm", k=3)
         assert engine.stats.rebuilds == 1  # the first touch
         assert engine.stats.delta_updates == 1
+        # No pattern, so the new document scores no posting: the sync
+        # keeps the very same array instead of re-sorting it.
+        assert engine.postings["calm"] is postings
 
     def test_rebuild_on_pattern_shift(self):
         live = make_live(timeline=16)
@@ -549,5 +450,3 @@ class TestLiveSearchEngine:
         engine = LiveSearchEngine(live)
         with pytest.raises(SearchError):
             engine.search("   ")
-        with pytest.raises(SearchError):
-            LiveIndex(compaction_threshold=0)

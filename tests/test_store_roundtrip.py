@@ -22,6 +22,7 @@ Seeded workloads pin the known regimes; Hypothesis sweeps random
 collections through the full save → load → compare cycle.
 """
 
+import os
 import random
 
 import numpy as np
@@ -51,6 +52,7 @@ from repro.store import (
     SegmentWriter,
     load_trackers,
 )
+from repro.store.format import rewrite_manifest
 from repro.store.segments import (
     PostingSegment,
     decode_patterns,
@@ -659,6 +661,51 @@ class TestLiveCheckpoint:
             batch.search("storm", k=10)
         )
         verify_store(path)
+
+    def test_legacy_meta_key_is_ignored(self, tmp_path):
+        # Checkpoints written before the live engine dropped its delta
+        # layer carry a compaction threshold in live/meta.json; restore
+        # ignores it and serves and re-checkpoints exactly as without.
+        live, engine = self.build()
+        self.drive(engine, live, 16)
+        engine.search("storm", k=5)
+        plain, legacy = str(tmp_path / "plain"), str(tmp_path / "legacy")
+        engine.checkpoint(plain)
+        engine.checkpoint(legacy)
+        reader = SegmentReader(legacy)
+        manifest = dict(reader.manifest)
+        meta = {**reader.json("live/meta.json"), "compaction_threshold": 32}
+        writer = SegmentWriter(legacy, fresh=False)
+        writer.add_json("live/meta.json", meta)
+        manifest["files"] = {**manifest["files"], **writer._files}
+        rewrite_manifest(legacy, manifest)
+        assert SegmentReader(legacy).json("live/meta.json") == meta
+
+        restored = {
+            path: LiveSearchEngine.from_checkpoint(path)
+            for path in (plain, legacy)
+        }
+        for query in ("storm", "filler", "storm filler"):
+            for k in (3, 10):
+                assert ranking(restored[legacy].search(query, k=k)) == ranking(
+                    restored[plain].search(query, k=k)
+                )
+        # Both engines served the same queries: re-checkpointing them
+        # writes the same bytes, and the legacy key is gone.
+        again = {}
+        for path, engine in restored.items():
+            again[path] = path + "-again"
+            engine.checkpoint(again[path])
+        files = sorted(SegmentReader(again[plain]).manifest["files"])
+        assert files == sorted(SegmentReader(again[legacy]).manifest["files"])
+        for name in files + ["MANIFEST.json"]:
+            with open(os.path.join(again[plain], name), "rb") as handle:
+                expected = handle.read()
+            with open(os.path.join(again[legacy], name), "rb") as handle:
+                assert handle.read() == expected, name
+        assert "compaction_threshold" not in SegmentReader(again[legacy]).json(
+            "live/meta.json"
+        )
 
     def test_restore_rejects_wrong_kind(self, saved, tmp_path):
         path, _, _, _ = saved
