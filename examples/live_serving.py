@@ -85,7 +85,7 @@ def main() -> None:
         live.ingest_snapshot(day, docs)
 
         if day % 6 == 5:
-            engine.search("festival", k=3)  # background term: incremental path
+            engine.search("festival", k=3)  # background term: re-synced
             results = engine.search("earthquake", k=3)
             hit_check = engine.search("earthquake", k=3)  # same epoch → LRU hit
             assert hit_check == results
@@ -104,7 +104,6 @@ def main() -> None:
     print(
         f"\nserving stats: {stats.cache_hits} LRU hits / "
         f"{stats.cache_misses} misses, {stats.rebuilds} posting rebuilds, "
-        f"{stats.delta_updates} delta updates, "
         f"{stats.served_current} terms served without any work"
     )
 

@@ -1178,8 +1178,7 @@ def _run_ingest(args: argparse.Namespace) -> None:
     stats = engine.stats
     print(
         f"serving stats: {stats.cache_hits} cache hit(s), "
-        f"{stats.cache_misses} miss(es), {stats.rebuilds} rebuild(s), "
-        f"{stats.delta_updates} delta update(s)"
+        f"{stats.cache_misses} miss(es), {stats.rebuilds} rebuild(s)"
     )
 
     if args.checkpoint_to:

@@ -29,6 +29,7 @@ from typing import Dict, Hashable, List, Optional, Set
 
 import numpy as np
 
+from repro.columnar.scoring import TermColumns
 from repro.search.inverted_index import rank_tiebreak
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document
@@ -138,6 +139,19 @@ class ColumnarCollection:
         if tid is None:
             return np.empty(0, dtype=np.int64)
         return self._entry_counts[self._indptr[tid] : self._indptr[tid + 1]]
+
+    def term_columns(self, term: str) -> TermColumns:
+        """The documents containing ``term``, in collection order."""
+        rows = self.doc_rows(term)
+        return TermColumns(
+            timestamps=self.timestamps[rows],
+            stream_codes=self.stream_codes[rows],
+            frequencies=self.frequencies(term),
+            tiebreaks=self.tiebreaks[rows],
+            doc_ids=self.doc_ids,
+            rows=rows,
+            stream_code=self._stream_code,
+        )
 
     # ------------------------------------------------------------------
     # Frequency-tensor protocol

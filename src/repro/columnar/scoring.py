@@ -1,9 +1,11 @@
-"""Vectorized posting construction over a columnar document store.
+"""Vectorized posting construction over one term's document columns.
 
-The static engines score a term's postings as ``relevance(d, t) ×
-max(overlapping pattern scores)`` (Eq. 10/11), visiting every document
-object and every pattern per document.  Over a
-:class:`~repro.columnar.collection.ColumnarCollection` the same
+The engines score a term's postings as ``relevance(d, t) × max(overlapping
+pattern scores)`` (Eq. 10/11).  :func:`repro.search.engine.score_posting`
+does it one document object and one pattern at a time; over a term's
+:class:`TermColumns` — which both the batch
+:class:`~repro.columnar.collection.ColumnarCollection` and the live
+:class:`~repro.live.collection.LiveCollection` hand out — the same
 computation is a handful of array operations per pattern:
 
 * pattern/document overlap becomes a per-stream ``[start, end]``
@@ -26,11 +28,18 @@ the differential-test oracle for this module.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.columnar.collection import ColumnarCollection
 from repro.columnar.postings import PostingArray
 from repro.core.patterns import CombinatorialPattern, RegionalPattern
 from repro.search.relevance import (
@@ -39,7 +48,27 @@ from repro.search.relevance import (
     raw_relevance,
 )
 
-__all__ = ["columnar_postings", "vectorizable_relevance"]
+__all__ = ["TermColumns", "columnar_postings", "vectorizable_relevance"]
+
+
+class TermColumns(NamedTuple):
+    """The documents containing one term, as parallel columns.
+
+    Row order is the order equal-key postings keep (``PostingArray``
+    sorts stably): collection order for the batch engine, arrival order
+    for the live one.
+    """
+
+    timestamps: np.ndarray
+    stream_codes: np.ndarray
+    frequencies: np.ndarray
+    tiebreaks: np.ndarray
+    #: The collection's document ids; ``doc_ids[rows[i]]`` is the id of
+    #: row ``i``, looked up only for the rows that score.
+    doc_ids: Sequence[Hashable]
+    rows: np.ndarray
+    #: stream id → the code ``stream_codes`` holds for it.
+    stream_code: Mapping[Hashable, int]
 
 
 def vectorizable_relevance(relevance) -> bool:
@@ -55,7 +84,7 @@ _NO_MEMBER = (1, 0)
 
 
 def _pattern_bounds(
-    pattern, n_streams: int, store: ColumnarCollection
+    pattern, stream_code: Mapping[Hashable, int]
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Per-stream-code ``[start, end]`` overlap table of one pattern.
 
@@ -63,6 +92,7 @@ def _pattern_bounds(
     module does not know — the caller then falls back to the reference
     scorer.
     """
+    n_streams = len(stream_code)
     starts = np.full(n_streams, _NO_MEMBER[0], dtype=np.int64)
     ends = np.full(n_streams, _NO_MEMBER[1], dtype=np.int64)
     if isinstance(pattern, RegionalPattern):
@@ -71,7 +101,7 @@ def _pattern_bounds(
         )
         frame = pattern.timeframe
         for sid in members:
-            code = store._stream_code.get(sid)
+            code = stream_code.get(sid)
             if code is not None:
                 starts[code] = frame.start
                 ends[code] = frame.end
@@ -82,7 +112,7 @@ def _pattern_bounds(
             if sid in assigned or sid not in pattern.streams:
                 continue
             assigned.add(sid)
-            code = store._stream_code.get(sid)
+            code = stream_code.get(sid)
             if code is not None:
                 starts[code] = interval.start
                 ends[code] = interval.end
@@ -90,7 +120,7 @@ def _pattern_bounds(
         for sid in pattern.streams:
             if sid in assigned:
                 continue
-            code = store._stream_code.get(sid)
+            code = stream_code.get(sid)
             if code is not None:
                 starts[code] = frame.start
                 ends[code] = frame.end
@@ -128,32 +158,29 @@ def _relevance_column(
 
 
 def columnar_postings(
-    store: ColumnarCollection,
-    term: str,
+    columns: TermColumns,
     patterns: Sequence,
     relevance,
 ) -> Optional[PostingArray]:
-    """One term's posting list, built from columnar slices.
+    """One term's posting list, built from its columns.
 
     Byte-identical to scoring every document with
     :func:`repro.search.engine.score_posting` and sorting the result;
     returns ``None`` when the relevance function or a pattern type is
     outside the vectorizable set.
     """
-    rows = store.doc_rows(term)
-    if not patterns or len(rows) == 0:
+    n_rows = len(columns.timestamps)
+    if not patterns or n_rows == 0:
         return PostingArray([], [])
-    frequencies = store.frequencies(term)
-    rel = _relevance_column(relevance, frequencies)
+    rel = _relevance_column(relevance, columns.frequencies)
     if rel is None:
         return None
-    timestamps = store.timestamps[rows]
-    codes = store.stream_codes[rows]
-    n_streams = len(store.stream_ids)
-    aggregate = np.full(len(rows), -np.inf)
-    included = np.zeros(len(rows), dtype=bool)
+    timestamps = columns.timestamps
+    codes = columns.stream_codes
+    aggregate = np.full(n_rows, -np.inf)
+    included = np.zeros(n_rows, dtype=bool)
     for pattern in patterns:
-        bounds = _pattern_bounds(pattern, n_streams, store)
+        bounds = _pattern_bounds(pattern, columns.stream_code)
         if bounds is None:
             return None
         starts, ends = bounds
@@ -162,11 +189,9 @@ def columnar_postings(
         included |= mask
     if not included.any():
         return PostingArray([], [])
-    selected = rows[included]
-    scores = rel[included] * aggregate[included]
-    doc_ids = store.doc_ids
+    doc_ids = columns.doc_ids
     return PostingArray(
-        [doc_ids[row] for row in selected.tolist()],
-        scores,
-        tiebreaks=store.tiebreaks[selected],
+        [doc_ids[row] for row in columns.rows[included].tolist()],
+        rel[included] * aggregate[included],
+        tiebreaks=columns.tiebreaks[included],
     )

@@ -45,7 +45,11 @@ import numpy as np
 
 from repro.columnar import kernels
 from repro.core.config import STLocalConfig
-from repro.core.stlocal import RegionSequence, STLocalTermTracker
+from repro.core.stlocal import (
+    RegionSequence,
+    STLocalTermTracker,
+    sequential_sum,
+)
 from repro.errors import StreamError
 from repro.intervals.interval import Interval
 from repro.spatial.geometry import Point, Rectangle
@@ -279,7 +283,7 @@ class ColumnarTermTracker(STLocalTermTracker):
                 # ascending order, with inert zeros in between —
                 # byte-identical.  Patterns of one term share frames
                 # and member streams heavily, hence the memo.
-                positive = sum(rows[row][lo:hi]) > 0.0
+                positive = sequential_sum(rows[row][lo:hi]) > 0.0
                 cache[key] = positive
             if positive:
                 bursty.add(sid)

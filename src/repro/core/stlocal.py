@@ -25,7 +25,19 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
+import sys
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.config import STLocalConfig
 from repro.core.patterns import RegionalPattern
@@ -40,7 +52,28 @@ from repro.streams.frequency import FrequencyTensor
 from repro.temporal.baselines import ExpectedFrequencyModel
 from repro.temporal.max_segments import OnlineMaxSegments
 
-__all__ = ["RegionSequence", "STLocalTermTracker", "STLocal"]
+__all__ = ["RegionSequence", "STLocalTermTracker", "STLocal", "sequential_sum"]
+
+
+def _sum_left_to_right(values: Iterable[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+#: Left-to-right float sum, rounding after every addition.  The columnar
+#: sweep (:mod:`repro.columnar.sweep`) accumulates member rows in exactly
+#: this order, so every r-score and history total the trackers compare
+#: goes through here.  Builtin ``sum`` of floats is compensated
+#: (Neumaier) from CPython 3.12 on: ``sum([1e16, 1.0, -1e16])`` is
+#: ``1.0`` there and ``0.0`` here, which would let a replayed tracker and
+#: a sweep-built one disagree in the last bits.  Up to 3.11 the builtin
+#: computes exactly this sum, in C — batch mining calls it for every
+#: (bursty member, window) pair, so it keeps the builtin there.
+sequential_sum: Callable[[Iterable[float]], float] = (
+    sum if sys.version_info < (3, 12) else _sum_left_to_right
+)
 
 
 @dataclasses.dataclass
@@ -273,7 +306,7 @@ class STLocalTermTracker:
         # the ones whose totals went negative.
         for key in list(self._sequences):
             sequence = self._sequences[key]
-            r_score = sum(
+            r_score = sequential_sum(
                 burstiness.get(sid, 0.0) for sid in sequence.member_order
             )
             sequence.append(r_score)

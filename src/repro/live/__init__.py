@@ -10,12 +10,12 @@ is the online counterpart:
   counter, a sealed/open snapshot watermark, and per-term views
   maintained in ``O(|terms(d)|)`` per document;
 * :class:`LiveSearchEngine` — one columnar posting list per term,
-  re-synced lazily when a document containing the term arrives
-  (newly ingested documents are scored and merged in while the term's
-  patterns hold; a pattern shift rebuilds the list), a bounded LRU
-  result cache keyed on the epoch, and lazily re-mined STLocal
-  patterns fed snapshot-by-snapshot through
-  :class:`~repro.pipeline.IncrementalFeeder`.
+  rebuilt lazily by the vectorised Eq. 10/11 kernel when a document
+  containing the term arrives, a bounded LRU result cache keyed on the
+  epoch, and lazily re-mined STLocal patterns: the batch sweep builds
+  a term's tracker on first touch and
+  :class:`~repro.pipeline.IncrementalFeeder` advances it snapshot by
+  snapshot from then on.
 
 The correctness contract — live state is byte-identical to a cold
 batch rebuild after any ingestion schedule — is enforced by the

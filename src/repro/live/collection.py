@@ -13,13 +13,16 @@ system:
 * **epoch counter** — every mutation bumps the epoch, giving caches a
   single integer to key consistency on;
 * **incremental term views** — the per-term sparse snapshots
-  (``timestamp → stream → frequency``) and per-term document postings
-  are maintained on ingest in ``O(|terms(d)|)``, so serving a query
-  never rescans the collection.
+  (``timestamp → stream → frequency``) and per-term document columns
+  (timestamps, stream codes, frequencies, ids and ranking tiebreaks,
+  in arrival order) are maintained on ingest in ``O(|terms(d)|)``, so
+  serving a query never rescans the collection and scoring a term is
+  one columnar pass (:func:`repro.columnar.scoring.columnar_postings`).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import (
     Callable,
     Dict,
@@ -31,13 +34,41 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
+from repro.columnar.scoring import TermColumns
 from repro.errors import StreamError
+from repro.search.inverted_index import rank_tiebreak
 from repro.spatial.geometry import Point
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document
 from repro.streams.stream import DocumentStream
 
 __all__ = ["LiveCollection"]
+
+
+class _TermView:
+    """One term's incremental view: its live tensor slices and the rows
+    (with in-document frequencies) of the documents containing it."""
+
+    __slots__ = ("slices", "rows", "counts")
+
+    def __init__(self) -> None:
+        # timestamp → stream → frequency.
+        self.slices: Dict[int, Dict[Hashable, float]] = {}
+        # Lists, in arrival order: ingest appends to them once per
+        # (document, term), and list.append is the cheapest append.
+        self.rows: List[int] = []
+        self.counts: List[int] = []
+
+
+def _gather(column: array, rows: np.ndarray) -> np.ndarray:
+    """``column[rows]`` as a new array.
+
+    The zero-copy view is dropped before returning: an ``array`` that
+    still exports its buffer refuses to grow, and ingest appends to it.
+    """
+    return np.frombuffer(column, dtype=np.int64)[rows]
 
 
 class LiveCollection:
@@ -56,10 +87,13 @@ class LiveCollection:
         self._inner = SpatiotemporalCollection(timeline)
         self._epoch = 0
         self._watermark = -1  # highest ingested timestamp; -1 = empty
-        # term → timestamp → stream → frequency (live tensor slices).
-        self._term_snapshots: Dict[str, Dict[int, Dict[Hashable, float]]] = {}
-        # term → documents containing it, in arrival order.
-        self._term_docs: Dict[str, List[Document]] = {}
+        self._term_views: Dict[str, _TermView] = {}
+        # Per-document columns, one row per document in arrival order.
+        self._doc_ids: List[Hashable] = []
+        self._timestamps = array("q")
+        self._stream_codes = array("q")
+        self._tiebreaks = array("q")
+        self._stream_code: Dict[Hashable, int] = {}
         self._docs_by_id: Dict[Hashable, Document] = {}
         self._listeners: List[Callable[[Document], None]] = []
 
@@ -84,6 +118,7 @@ class LiveCollection:
                 "(live trackers share a fixed location map)"
             )
         stream = self._inner.add_stream(stream_id, location, latlon=latlon)
+        self._stream_code[stream_id] = len(self._stream_code)
         self._epoch += 1
         return stream
 
@@ -104,19 +139,31 @@ class LiveCollection:
             )
         if document.doc_id in self._docs_by_id:
             raise StreamError(
-                f"duplicate document id {document.doc_id!r}: live indexes "
-                "key their deltas on unique ids"
+                f"duplicate document id {document.doc_id!r}: live posting "
+                "lists key documents on unique ids"
             )
         self._inner.add_document(document)  # validates stream + timeline
-        self._docs_by_id[document.doc_id] = document
-        self._watermark = max(self._watermark, document.timestamp)
+        doc_id, stream_id, timestamp = (
+            document.doc_id, document.stream_id, document.timestamp
+        )
+        self._docs_by_id[doc_id] = document
+        self._watermark = max(self._watermark, timestamp)
+        row = len(self._doc_ids)
+        self._doc_ids.append(doc_id)
+        self._timestamps.append(timestamp)
+        self._stream_codes.append(self._stream_code[stream_id])
+        self._tiebreaks.append(rank_tiebreak(doc_id))
+        views = self._term_views
         for term, count in document.term_counts().items():
-            slices = self._term_snapshots.setdefault(term, {})
-            snapshot = slices.setdefault(document.timestamp, {})
-            snapshot[document.stream_id] = (
-                snapshot.get(document.stream_id, 0.0) + float(count)
-            )
-            self._term_docs.setdefault(term, []).append(document)
+            view = views.get(term)
+            if view is None:
+                view = views[term] = _TermView()
+            snapshot = view.slices.get(timestamp)
+            if snapshot is None:
+                snapshot = view.slices[timestamp] = {}
+            snapshot[stream_id] = snapshot.get(stream_id, 0.0) + float(count)
+            view.rows.append(row)
+            view.counts.append(count)
         self._epoch += 1
         for listener in self._listeners:
             listener(document)
@@ -228,7 +275,8 @@ class LiveCollection:
         Same shape as
         :meth:`repro.streams.FrequencyTensor.term_snapshots`.
         """
-        return self._term_snapshots.get(term, {})
+        view = self._term_views.get(term)
+        return {} if view is None else view.slices
 
     def term_version(self, term: str) -> int:
         """Monotonic per-term change counter.
@@ -240,22 +288,28 @@ class LiveCollection:
         snapshots cannot create, destroy or rescore a maximal window,
         so per-term caches keyed on this counter stay consistent.
         """
-        return len(self._term_docs.get(term, ()))
+        view = self._term_views.get(term)
+        return 0 if view is None else len(view.rows)
 
-    def documents_with(self, term: str, start: int = 0) -> List[Document]:
-        """Documents containing the term, in arrival order.
+    def documents_with(self, term: str) -> List[Document]:
+        """Documents containing the term, in arrival order."""
+        view = self._term_views.get(term, _TermView())
+        doc_ids = self._doc_ids
+        return [self._docs_by_id[doc_ids[row]] for row in view.rows]
 
-        Args:
-            term: The term to look up.
-            start: Skip this many leading documents — pass a cursor
-                from a previous :meth:`term_version` read to fetch only
-                the documents ingested since, without copying the full
-                history.
-        """
-        documents = self._term_docs.get(term)
-        if documents is None:
-            return []
-        return documents[start:]
+    def term_columns(self, term: str) -> TermColumns:
+        """The documents containing ``term`` as columns, in arrival order."""
+        view = self._term_views.get(term, _TermView())
+        rows = np.array(view.rows, dtype=np.int64)
+        return TermColumns(
+            timestamps=_gather(self._timestamps, rows),
+            stream_codes=_gather(self._stream_codes, rows),
+            frequencies=np.array(view.counts, dtype=np.int64),
+            tiebreaks=_gather(self._tiebreaks, rows),
+            doc_ids=self._doc_ids,
+            rows=rows,
+            stream_code=self._stream_code,
+        )
 
     def ingested_documents(self) -> List[Document]:
         """Every ingested document, in arrival order.

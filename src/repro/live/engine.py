@@ -7,15 +7,19 @@ top-k via the Threshold Algorithm), but every derived structure is
 maintained incrementally:
 
 * **patterns** are lazily re-mined per term through an
-  :class:`~repro.pipeline.incremental.IncrementalFeeder` — sealed
-  snapshots are committed into a durable
-  :class:`~repro.core.stlocal.STLocalTermTracker`, the open snapshot is
-  previewed on a fork;
+  :class:`~repro.pipeline.incremental.IncrementalFeeder` — a term's
+  first sync builds its durable
+  :class:`~repro.core.stlocal.STLocalTermTracker` with the batch
+  miner's columnar sweep, later syncs commit the newly sealed
+  snapshots into it, and the open snapshot is previewed on a fork;
 * **posting lists** are one columnar
-  :class:`~repro.columnar.postings.PostingArray` per term: when a
-  term's pattern set is unchanged, only the documents ingested since
-  the last sync are scored and merged into it; when the pattern set
-  shifted, that term's list — and only that term's — is rebuilt;
+  :class:`~repro.columnar.postings.PostingArray` per term, rebuilt
+  whenever the term is stale by the same vectorised Eq. 10/11 kernel
+  the batch engine uses
+  (:func:`~repro.columnar.scoring.columnar_postings`), over the
+  per-term columns the collection appends on ingest; custom relevance
+  or aggregate callables fall back to
+  :func:`~repro.search.engine.score_posting`;
 * **consistency** is tracked per term with
   :meth:`~repro.live.collection.LiveCollection.term_version`: a term's
   cached state is provably current unless a document *containing the
@@ -38,17 +42,17 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.columnar.postings import PostingArray
+from repro.columnar.scoring import columnar_postings, vectorizable_relevance
 from repro.core.config import STLocalConfig
 from repro.core.patterns import RegionalPattern
 from repro.errors import SearchError
 from repro.live.collection import LiveCollection
 from repro.pipeline.incremental import IncrementalFeeder
 from repro.search.engine import SearchResult, _default_aggregate, score_posting
-from repro.search.inverted_index import Posting
 from repro.search.relevance import RelevanceFunction, log_relevance
 from repro.search.threshold_algorithm import positive_k
 from repro.search.topk import STRATEGIES, normalize_query_terms, topk
-from repro.streams.document import Document, tokenize
+from repro.streams.document import tokenize
 
 __all__ = ["LiveSearchEngine", "ServingStats"]
 
@@ -60,9 +64,9 @@ class ServingStats:
     Attributes:
         cache_hits: Queries answered from the LRU result cache.
         cache_misses: Queries that ran the Threshold Algorithm.
-        rebuilds: Full per-term posting-list rebuilds (pattern shift).
-        delta_updates: Per-term syncs that scored only the documents
-            ingested since the term's last sync (pattern set unchanged).
+        rebuilds: Per-term syncs: re-mine and rescore a stale term.
+        delta_updates: Always 0 — every stale sync rebuilds; the field
+            stays for readers of the serving counters.
         served_current: Terms served from an already-current state.
     """
 
@@ -79,7 +83,6 @@ class _TermState:
 
     patterns: List[RegionalPattern]
     version: int  # LiveCollection.term_version at last sync
-    doc_cursor: int  # documents_with(term) prefix already indexed
 
 
 class LiveSearchEngine:
@@ -194,11 +197,13 @@ class LiveSearchEngine:
     def checkpoint(self, path: str, codec: str = "raw") -> None:
         """Persist this engine's full serving state as a ``live`` store.
 
-        Captures the arrival-ordered document table, the sealed tracker
-        state of every mined term, the per-term posting lists and sync
-        cursors, and the collection's watermark and epoch — everything
-        :meth:`restore` needs to resume ingestion and serving without
-        replaying the feed.
+        Captures the arrival-ordered document table, every synced
+        term's patterns, posting list and version, and the collection's
+        watermark and epoch — everything :meth:`restore` needs to
+        resume ingestion and serving without replaying the feed.  The
+        durable trackers are not written: a restored engine rebuilds a
+        term's tracker from the stored documents, with the columnar
+        sweep, on the term's first stale sync.
 
         ``codec`` picks the posting-column layout (``"raw"`` or
         ``"packed"``), exactly as ``repro save --codec`` does for index
@@ -278,30 +283,9 @@ class LiveSearchEngine:
             return
 
         patterns = self._mine(term)
-        if state is None or patterns != state.patterns:
-            # Pattern shift (or first touch): every existing posting's
-            # burstiness factor may have changed — rebuild this term.
-            documents = self.live.documents_with(term)
-            self.postings[term] = PostingArray.from_postings(
-                self._score(documents, term, patterns)
-            )
-            self._states[term] = _TermState(
-                patterns=patterns, version=version, doc_cursor=len(documents)
-            )
-            self.stats.rebuilds += 1
-            return
-        # Same pattern set: only the documents ingested since the last
-        # sync need scoring.  The merge is order-exact against a cold
-        # PostingList; with nothing new the list object stays as it is.
-        fresh = self.live.documents_with(term, start=state.doc_cursor)
-        scored = self._score(fresh, term, patterns)
-        if scored:
-            self.postings[term] = self.postings[term].merged_with(
-                PostingArray.from_postings(scored)
-            )
-        state.version = version
-        state.doc_cursor += len(fresh)
-        self.stats.delta_updates += 1
+        self.postings[term] = self._score(term, patterns)
+        self._states[term] = _TermState(patterns=patterns, version=version)
+        self.stats.rebuilds += 1
 
     def _mine(self, term: str) -> List[RegionalPattern]:
         return self.feeder.mine_term(
@@ -312,19 +296,25 @@ class LiveSearchEngine:
         )
 
     def _score(
-        self,
-        documents: Sequence[Document],
-        term: str,
-        patterns: Sequence[RegionalPattern],
-    ) -> List[Posting]:
-        """Eq. 10/11 postings, via the engines' shared scoring helper."""
-        postings: List[Posting] = []
+        self, term: str, patterns: Sequence[RegionalPattern]
+    ) -> PostingArray:
+        """Eq. 10/11 postings of every document containing the term."""
         if not patterns:
-            return postings
-        for document in documents:
-            posting = score_posting(
+            return PostingArray([], [])
+        if self.aggregate is _default_aggregate and vectorizable_relevance(
+            self.relevance
+        ):
+            scored = columnar_postings(
+                self.live.term_columns(term), patterns, self.relevance
+            )
+            if scored is not None:
+                return scored
+        postings = [
+            score_posting(
                 document, term, patterns, self.relevance, self.aggregate
             )
-            if posting is not None:
-                postings.append(posting)
-        return postings
+            for document in self.live.documents_with(term)
+        ]
+        return PostingArray.from_postings(
+            [posting for posting in postings if posting is not None]
+        )

@@ -6,21 +6,29 @@ documents continuously and must keep per-term trackers current without
 rescanning history.  This module provides that feed path:
 
 * one durable :class:`~repro.core.stlocal.STLocalTermTracker` per term,
-  created lazily and advanced snapshot-by-snapshot through the *sealed*
-  prefix of the timeline (timestamps no future document can touch);
+  advanced through the *sealed* prefix of the timeline (timestamps no
+  future document can touch);
+* a term's first advance — its tracker is still pristine — runs the
+  batch miner's columnar sweep (:func:`repro.columnar.sweep.sweep_term`)
+  over the term's sealed slices, the same kernel and the same shared
+  :class:`~repro.columnar.sweep.LocationStore` for every term, so a
+  term first touched hundreds of snapshots in costs one vectorised
+  pass instead of one ``process`` call per snapshot.  Later advances
+  cover only the few snapshots sealed since and replay them with
+  ``process``; a custom ``baseline_factory`` (which the sweep does not
+  reproduce) always replays, skipping the quiet prefix with
+  :meth:`~repro.core.stlocal.STLocalTermTracker.fast_forward`;
 * :meth:`IncrementalFeeder.preview` — a fork of the durable tracker fed
   through the still-open snapshots, so queries see patterns that
   include the freshest data while the durable tracker stays rewindable
   at its sealed checkpoint (open snapshots can still gain documents,
-  and a tracker cannot reprocess a snapshot);
-* the same two structural optimisations as the batch sweep: quiet
-  prefixes are skipped with
-  :meth:`~repro.core.stlocal.STLocalTermTracker.fast_forward`, and one
-  shared :class:`~repro.spatial.index.SpatialIndex` serves every
-  tracker.
+  and a tracker cannot reprocess a snapshot).
 
-Patterns read off a preview are identical to a cold batch rebuild of
-the same collection — the differential tests
+Because a pristine tracker is rebuilt from the term's slices alone, the
+durable trackers are derived state: a live checkpoint does not persist
+them, and a restored engine rebuilds each on the term's first stale
+re-sync.  Patterns read off a preview are identical to a cold batch
+rebuild of the same collection — the differential tests
 (``tests/test_live_differential.py``) hold the two paths byte-equal.
 """
 
@@ -28,12 +36,12 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Mapping, Optional
 
+from repro.columnar.sweep import LocationStore, columnar_supported, sweep_term
 from repro.core.config import STLocalConfig
 from repro.core.patterns import RegionalPattern
 from repro.core.stlocal import STLocalTermTracker
 from repro.errors import StreamError
 from repro.spatial.geometry import Point
-from repro.spatial.index import IntervalSpatialIndex, SpatialIndex
 
 __all__ = ["IncrementalFeeder"]
 
@@ -42,7 +50,8 @@ TermSnapshots = Mapping[int, Mapping[Hashable, float]]
 
 
 class IncrementalFeeder:
-    """Per-term durable trackers advanced snapshot-by-snapshot.
+    """Per-term durable trackers: swept on first touch, then advanced
+    snapshot-by-snapshot.
 
     Args:
         locations: Geostamp of every stream; fixed for the feeder's
@@ -55,11 +64,12 @@ class IncrementalFeeder:
         locations: Dict[Hashable, Point],
         config: Optional[STLocalConfig] = None,
     ) -> None:
-        self.locations = dict(locations)
+        # One location store (coordinate columns, spatial index,
+        # membership memo) shared by every tracker and every sweep.
+        self._store = LocationStore(locations)
+        self.locations = self._store.locations
         self.config = config if config is not None else STLocalConfig()
-        self._index: Optional[SpatialIndex] = None
-        if len(self.locations) > STLocalTermTracker.INDEX_THRESHOLD:
-            self._index = IntervalSpatialIndex(list(self.locations.items()))
+        self._sweep = columnar_supported(self.config)
         self._trackers: Dict[str, STLocalTermTracker] = {}
 
     # ------------------------------------------------------------------
@@ -70,7 +80,7 @@ class IncrementalFeeder:
             tracker = STLocalTermTracker(
                 self.locations,
                 config=self.config,
-                index=self._index,
+                index=self._store.index,
                 copy_locations=False,
             )
             self._trackers[term] = tracker
@@ -88,7 +98,9 @@ class IncrementalFeeder:
 
         Only *sealed* timestamps belong here: once processed, a snapshot
         cannot be amended.  ``through`` therefore must not exceed the
-        caller's sealed watermark.
+        caller's sealed watermark.  A pristine tracker with activity
+        before ``through`` is replaced by a sweep-built one (see the
+        module docstring); any other advance replays the new snapshots.
 
         Args:
             term: The term being advanced.
@@ -105,6 +117,18 @@ class IncrementalFeeder:
                 tracker itself rejects backwards feeds).
         """
         tracker = self.tracker(term)
+        if self._sweep and tracker.pristine:
+            sealed = _active_slices(snapshots, tracker.clock, through)
+            if sealed:
+                tracker = sweep_term(
+                    sealed,
+                    self._store,
+                    self.config,
+                    timeline=through,
+                    truncate_tails=False,
+                )
+                self._trackers[term] = tracker
+                return tracker
         self._feed(tracker, term, snapshots, through)
         return tracker
 
@@ -157,11 +181,18 @@ class IncrementalFeeder:
             # Quiet-prefix skip, exactly as the batch sweep does it: an
             # empty snapshot before the first observation is a strict
             # no-op, so jump straight to the first active timestamp.
-            active = [
-                timestamp
-                for timestamp, slice_ in snapshots.items()
-                if tracker.clock <= timestamp < through and slice_
-            ]
+            active = _active_slices(snapshots, tracker.clock, through)
             tracker.fast_forward(min(active) if active else through)
         for timestamp in range(tracker.clock, through):
             tracker.process(dict(snapshots.get(timestamp, {})))
+
+
+def _active_slices(
+    snapshots: TermSnapshots, start: int, through: int
+) -> Dict[int, Mapping[Hashable, float]]:
+    """The non-empty slices at timestamps in ``[start, through)``."""
+    return {
+        timestamp: slice_
+        for timestamp, slice_ in snapshots.items()
+        if start <= timestamp < through and slice_
+    }

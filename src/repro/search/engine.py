@@ -512,7 +512,9 @@ class BurstySearchEngine(_PatternEngineBase):
             store = self._columnar_store()
             for term in pending:
                 posting_list = columnar_postings(
-                    store, term, self._patterns.get(term, ()), self.relevance
+                    store.term_columns(term),
+                    self._patterns.get(term, ()),
+                    self.relevance,
                 )
                 if posting_list is not None:
                     self._index.add_built(term, posting_list)

@@ -12,18 +12,20 @@ archive.
 ``repair`` is the destructive half, and is deliberately conservative:
 
 * damage to *source* segments (``documents/``, ``patterns/``, a live
-  checkpoint's ``live/`` or ``trackers/`` state) is unrepairable —
-  those bytes cannot be derived from anything else in the store, so
-  repair refuses before mutating anything;
+  checkpoint's ``live/`` state) is unrepairable — those bytes cannot
+  be derived from anything else in the store, so repair refuses before
+  mutating anything;
 * damaged ``postings/`` files on an ``index`` store are quarantined
   (moved to ``<store>/quarantine/``, never deleted) and the whole
   posting prefix is rebuilt from the store's own documents and mined
   patterns — which is possible precisely because patterns are persisted
   and posting scores are a deterministic function of them;
-* a damaged ``trackers/`` segment on an ``index`` store, or the
-  ``planner/model`` segment older stores may carry (nothing reads it
-  any more), is auxiliary: it is quarantined and dropped from the
-  manifest (serving works without it).
+* a damaged ``trackers/`` segment on an ``index`` store or on a live
+  checkpoint (older checkpoints carry one; restore never reads it and
+  rebuilds trackers from the documents), or the ``planner/model``
+  segment older stores may carry (nothing reads it any more), is
+  auxiliary: it is quarantined and dropped from the manifest (serving
+  works without it).
 
 The rewritten manifest is installed through the same atomic
 temp-write → fsync → rename boundary sequence as a fresh save
@@ -303,11 +305,11 @@ def repair_store(path: str) -> RepairReport:
     Raises:
         StoreCorruptionError: when the store is unreadable (no usable
             manifest) or the damage reaches source segments
-            (documents, patterns, live/tracker checkpoint state) that
-            cannot be rederived — nothing is mutated in that case.
+            (documents, patterns, a live checkpoint's ``live/`` state)
+            that cannot be rederived — nothing is mutated in that case.
         StoreError: when posting rebuild is impossible (non-default
             scoring callables, or a ``live`` store's postings are
-            damaged).
+            damaged) or a ``patterns`` store's tracker state is.
     """
     report = fsck_store(path)
     if report.error:
@@ -331,7 +333,8 @@ def repair_store(path: str) -> RepairReport:
             "re-create the store with `repro save`"
         )
     if report.kind != "index" and any(
-        name.startswith("postings/") or name.startswith("trackers/")
+        name.startswith("postings/")
+        or (name.startswith("trackers/") and report.kind != "live")
         for name in damaged
     ):
         raise StoreError(
@@ -377,7 +380,8 @@ def repair_store(path: str) -> RepairReport:
             for name, entry in files.items()
             if not name.startswith("trackers/")
         }
-        metadata["trackers"] = False
+        if report.kind == "index":
+            metadata["trackers"] = False
         dropped.append("trackers")
     # Merge the rebuilt segment entries and re-stamp the lowest
     # sufficient format version over what actually remains on disk.

@@ -55,7 +55,6 @@ from repro.search.inverted_index import (
     rank_tiebreak,
 )
 from repro.spatial.geometry import Point, Rectangle
-from repro.spatial.index import SpatialIndex
 from repro.store.format import (
     SegmentReader,
     SegmentWriter,
@@ -1029,18 +1028,15 @@ def decode_trackers(
     reader: SegmentReader,
     prefix: str,
     locations: Dict[Hashable, Point],
-    config: Optional[STLocalConfig] = None,
-    index: Optional[SpatialIndex] = None,
 ) -> Tuple[STLocalConfig, Dict[str, STLocalTermTracker]]:
-    """Rebuild term trackers, sharing one location map (and index)."""
+    """Rebuild term trackers, sharing one location map."""
     meta = reader.json(f"{prefix}/meta.json")
     config_payload = meta.get("config")
-    if config is None:
-        config = (
-            decode_config(config_payload)
-            if config_payload is not None
-            else STLocalConfig()
-        )
+    config = (
+        decode_config(config_payload)
+        if config_payload is not None
+        else STLocalConfig()
+    )
     rect_history = reader.array(f"{prefix}/rect_history.npy").tolist()
     open_history = reader.array(f"{prefix}/open_history.npy").tolist()
     model_counts = reader.array(f"{prefix}/model_counts.npy").tolist()
@@ -1062,7 +1058,7 @@ def decode_trackers(
     rect_at = open_at = model_at = seq_at = cand_at = arch_at = hist_at = 0
     for entry in meta["terms"]:
         tracker = STLocalTermTracker(
-            locations, config=config, index=index, copy_locations=False
+            locations, config=config, copy_locations=False
         )
         tracker._clock = int(entry["clock"])
         tracker.rectangle_history = rect_history[

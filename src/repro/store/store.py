@@ -12,10 +12,11 @@ Three store *kinds*, all sharing the segment format of
   state when available): what ``BatchMiner.mine_*(save_to=...)``
   writes, for pipelines that mine once and score elsewhere.
 * ``live`` — a :class:`repro.live.LiveSearchEngine` checkpoint:
-  arrival-ordered document table, sealed tracker state, per-term
-  posting lists and sync cursors, watermark and epoch — enough
-  to resume ingestion and serving exactly where the saved engine
-  stopped, without replaying the feed.
+  arrival-ordered document table, per-term patterns, posting lists and
+  versions, watermark and epoch — enough to resume ingestion and
+  serving exactly where the saved engine stopped, without replaying
+  the feed.  Tracker state is not stored: a restored engine rebuilds a
+  term's tracker from the documents on the term's first stale sync.
 
 ``verify_store`` is the acceptance oracle behind ``repro load
 --verify``: it cold-rebuilds the index from the store's own document
@@ -576,8 +577,6 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
     patterns = {term: list(state.patterns) for term, state in states.items()}
     encode_patterns(writer, "patterns", patterns, "regional")
     encode_posting_lists(writer, "postings", engine.postings, codec=codec)
-    trackers = engine._feeder._trackers if engine._feeder is not None else {}
-    encode_trackers(writer, "trackers", trackers)
     writer.add_json(
         "live/meta.json",
         {
@@ -585,11 +584,7 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
             "epoch": live.epoch,
             "config": config_payload,
             "states": [
-                {
-                    "term": term,
-                    "version": state.version,
-                    "doc_cursor": state.doc_cursor,
-                }
+                {"term": term, "version": state.version}
                 for term, state in states.items()
             ],
         },
@@ -613,17 +608,19 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
 def restore_live_checkpoint(path: StoreLike, engine) -> None:
     """Load a ``live`` checkpoint into an existing engine (in place).
 
-    Replaces the engine's collection, posting lists, tracker feeder
-    and per-term sync state with the persisted snapshot, resets the
-    serving statistics and clears the result cache — counters and
-    cached rankings describe the *previous* backing index, and
-    surviving a restore would report stale hit-rates for an index they
-    never measured.  ``live/meta.json`` keys that older checkpoints
-    wrote and this version no longer reads are ignored.
+    Replaces the engine's collection, posting lists and per-term sync
+    state with the persisted snapshot, starts a fresh tracker feeder
+    (each term's tracker is rebuilt from the documents on its first
+    stale sync), resets the serving statistics and clears the result
+    cache — counters and cached rankings describe the *previous*
+    backing index, and surviving a restore would report stale
+    hit-rates for an index they never measured.  What older
+    checkpoints wrote and this version no longer reads — a
+    ``trackers/`` segment, ``live/meta.json`` keys such as
+    ``doc_cursor`` — is ignored.
     """
     from repro.live.collection import LiveCollection
     from repro.live.engine import _TermState, ServingStats
-    from repro.pipeline.incremental import IncrementalFeeder
 
     store = open_store(path)
     if store.kind != "live":
@@ -659,11 +656,6 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
                 "matching config (or config=None) before restoring"
             )
     engine.config = config
-    feeder = IncrementalFeeder(live.locations(), config)
-    _, trackers = decode_trackers(
-        store, "trackers", feeder.locations, config=config, index=feeder._index
-    )
-    feeder._trackers.update(trackers)
 
     segment = PostingSegment(store, "postings")
     postings = {term: segment.posting_array(term) for term in segment.terms}
@@ -675,11 +667,10 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
         states[term] = _TermState(
             patterns=list(patterns.get(term, [])),
             version=int(state["version"]),
-            doc_cursor=int(state["doc_cursor"]),
         )
 
     engine.live = live
-    engine._feeder = feeder
+    engine._feeder = None  # rebuilt for the restored streams on first use
     engine.postings = postings
     engine._states = states
     engine._cache.clear()

@@ -33,7 +33,15 @@ from repro.columnar.kernels import (
     maximal_segment_state,
 )
 from repro.columnar.postings import PostingArray
+from repro.columnar.sweep import ColumnarTermTracker, LocationStore, sweep_term
 from repro.core.config import STLocalConfig
+from repro.core.stlocal import (
+    STLocalTermTracker,
+    _sum_left_to_right,
+    sequential_sum,
+)
+from repro.intervals.interval import Interval
+from repro.pipeline import IncrementalFeeder
 from repro.search.inverted_index import Posting, PostingList
 from repro.spatial.discrepancy import (
     WeightedPoint,
@@ -155,6 +163,65 @@ class TestMiningDifferential:
                     stlocal=stlocal, columnar=True, truncate_tails=truncate
                 ).mine_regional(tensor, terms, locations)
                 assert repr(columnar) == repr(legacy)
+
+    def test_sweep_built_live_tracker_extends_like_a_replay(self):
+        # The live feeder's durable tracker: swept over the sealed
+        # prefix on first touch, advanced with process() as snapshots
+        # seal, then forked and previewed through the open tail.
+        config = STLocalConfig(warmup=2)
+        for seed in range(8):
+            collection = build_corpus(seed)
+            tensor = FrequencyTensor(collection)
+            locations = collection.locations()
+            timeline = tensor.timeline
+            feeder = IncrementalFeeder(locations, config)
+            for term in sorted(tensor.terms):
+                snapshots = tensor.term_snapshots(term)
+                sealed = (min(snapshots) + max(snapshots)) // 2 + 1
+                replay = STLocalTermTracker(locations, config)
+                for timestamp in range(sealed):
+                    replay.process(dict(snapshots.get(timestamp, {})))
+                durable = feeder.advance(term, snapshots, sealed)
+                assert isinstance(durable, ColumnarTermTracker), term
+                assert_trackers_equal(replay, durable)
+
+                later = min(sealed + 3, timeline)
+                for timestamp in range(sealed, later):
+                    replay.process(dict(snapshots.get(timestamp, {})))
+                assert feeder.advance(term, snapshots, later) is durable
+                assert_trackers_equal(replay, durable)
+
+                for timestamp in range(later, timeline):
+                    replay.process(dict(snapshots.get(timestamp, {})))
+                preview = feeder.preview(term, snapshots, timeline)
+                assert_trackers_equal(replay, preview)
+                assert preview.patterns(term) == replay.patterns(term)
+                assert durable.clock == later
+
+    def test_region_r_score_sums_left_to_right(self):
+        # Three streams share one point, so every rectangle holds all
+        # three, and at t=1 their burstiness is 1e16, 1.0, -1e16.  Left
+        # to right that region's r-score is 0.0 — what the sweep's row
+        # additions give; a compensated sum (builtin sum() from CPython
+        # 3.12 on) would make it 1.0 and open a second window at t=1.
+        for summation in (sequential_sum, _sum_left_to_right):
+            assert summation([1e16, 1.0, -1e16]) == 0.0
+        locations = {sid: Point(0.0, 0.0) for sid in ("a", "b", "c")}
+        snapshots = {0: {"c": 1e16}, 1: {"a": 1e16, "b": 1.0}}
+        config = STLocalConfig(warmup=0)
+        replay = STLocalTermTracker(locations, config)
+        for timestamp in range(3):
+            replay.process(dict(snapshots.get(timestamp, {})))
+        swept = sweep_term(
+            snapshots,
+            LocationStore(locations),
+            config,
+            timeline=3,
+            truncate_tails=False,
+        )
+        assert_trackers_equal(replay, swept)
+        assert [window[2] for window in replay.windows()] == [Interval(0, 0)]
+        assert replay.patterns("x") == swept.patterns("x")
 
     def test_custom_baseline_falls_back_to_reference(self):
         from repro.temporal.baselines import EWMABaseline

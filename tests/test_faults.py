@@ -48,6 +48,7 @@ from repro.live import LiveSearchEngine
 from repro.store import SegmentReader
 from repro.store.format import SegmentWriter, rewrite_manifest
 from repro.store.fsck import fsck_store, repair_store
+from repro.store.segments import encode_trackers
 
 
 def build_collection(seed=7, streams=4, timeline=16):
@@ -450,6 +451,41 @@ class TestLegacyPlannerSegment:
         assert fsck_store(legacy).exit_code == 0
         terms = sorted(mined)
         assert self.rankings(legacy, terms) == self.rankings(plain, terms)
+
+
+class TestLegacyLiveTrackers:
+    """Live checkpoints written before trackers became derived state
+    carry a ``trackers/`` segment; restore never reads it, so damage to
+    it is auxiliary."""
+
+    def test_repair_quarantines_and_drops_damaged_segment(self, tmp_path):
+        engine = build_live_engine()
+        path = str(tmp_path / "ckpt")
+        engine.checkpoint(path)
+        reader = SegmentReader(path, verify=True)
+        manifest = dict(reader.manifest)
+        writer = SegmentWriter(path, fresh=False)
+        encode_trackers(writer, "trackers", engine.feeder._trackers)
+        manifest["files"] = {**manifest["files"], **writer._files}
+        rewrite_manifest(path, manifest)
+        flip_last_byte(os.path.join(path, "trackers", "meta.json"))
+        assert fsck_store(path).exit_code == 1
+
+        report = repair_store(path)
+        assert report.quarantined == ("trackers/meta.json",)
+        assert report.dropped == ("trackers",)
+        assert report.rebuilt == ()
+        reader = SegmentReader(path, verify=True)
+        assert not [n for n in reader.manifest["files"] if "trackers/" in n]
+        assert "trackers" not in reader.manifest["metadata"]
+        assert fsck_store(path).exit_code == 0
+        restored = LiveSearchEngine.from_checkpoint(path)
+        assert [
+            (r.document.doc_id, r.score)
+            for r in restored.search("storm", k=10)
+        ] == [
+            (r.document.doc_id, r.score) for r in engine.search("storm", k=10)
+        ]
 
 
 class TestErrorMessages:

@@ -9,6 +9,7 @@ from repro.errors import SearchError, StreamError
 from repro.live import LiveCollection, LiveSearchEngine
 from repro.pipeline import IncrementalFeeder
 from repro.search import Posting, PostingList, exhaustive_topk, threshold_topk
+from repro.search.relevance import log_relevance
 from repro.spatial import Point
 from repro.streams import Document
 
@@ -369,6 +370,32 @@ class TestLiveSearchEngine:
         assert isinstance(engine.postings["boom"], PostingArray)
         assert any(r.document.doc_id == 999 for r in results)
 
+    def test_columnar_scoring_matches_scalar_fallback(self):
+        # Scoring callables the columnar kernel does not recognise take
+        # the per-document score_posting path; with the same arithmetic
+        # both must build the identical list.
+        def postings(**scoring):
+            live = make_live(timeline=16)
+            engine = LiveSearchEngine(
+                live, config=STLocalConfig(warmup=2), **scoring
+            )
+            doc_id = self._seed_burst(live)
+            live.ingest_snapshot(
+                10,
+                [
+                    Document(doc_id, "s0", 10, ("boom",) * 3),
+                    Document(doc_id + 1, "s1", 10, ("boom", "calm")),
+                    Document(doc_id + 2, "s3", 10, ("boom",)),
+                ],
+            )
+            engine.search("boom", k=3)
+            return [(p.doc_id, p.score) for p in engine.postings["boom"]]
+
+        columnar = postings()
+        assert len(columnar) > 6
+        assert postings(relevance=lambda d, t: log_relevance(d, t)) == columnar
+        assert postings(aggregate=lambda scores: max(scores)) == columnar
+
     def test_ingest_invalidates_result_cache(self):
         live = make_live(timeline=16)
         engine = LiveSearchEngine(live, config=STLocalConfig(warmup=2))
@@ -398,7 +425,7 @@ class TestLiveSearchEngine:
         # Second query re-used the synced state for both terms.
         assert engine.stats.served_current >= 1
 
-    def test_delta_path_when_patterns_stable(self):
+    def test_stale_sync_rebuilds_when_patterns_stable(self):
         live = make_live(timeline=16)
         engine = LiveSearchEngine(live, config=STLocalConfig(warmup=8))
         # All activity inside the warm-up window: burstiness is forced
@@ -406,14 +433,14 @@ class TestLiveSearchEngine:
         # term's documents keep arriving.
         live.ingest_snapshot(0, [Document(1, "s0", 0, ("calm",))])
         engine.search("calm", k=3)
-        postings = engine.postings["calm"]
         live.ingest_snapshot(1, [Document(2, "s0", 1, ("calm",))])
-        engine.search("calm", k=3)
-        assert engine.stats.rebuilds == 1  # the first touch
-        assert engine.stats.delta_updates == 1
-        # No pattern, so the new document scores no posting: the sync
-        # keeps the very same array instead of re-sorting it.
-        assert engine.postings["calm"] is postings
+        assert engine.search("calm", k=3) == []
+        # Every stale sync re-mines and rescores; there is no
+        # incremental branch left to take.
+        assert engine.stats.rebuilds == 2
+        assert engine.stats.delta_updates == 0
+        assert engine.patterns_for("calm") == []
+        assert len(engine.postings["calm"]) == 0
 
     def test_rebuild_on_pattern_shift(self):
         live = make_live(timeline=16)

@@ -31,6 +31,8 @@ from repro import (
     SpatiotemporalCollection,
 )
 from repro.core.config import STLocalConfig
+from repro.pipeline import incremental
+from repro.temporal.baselines import EWMABaseline
 
 TIMELINE = 24
 VOCABULARY = ("storm", "flood", "market", "quiet", "vote")
@@ -151,14 +153,28 @@ class TestDifferentialSchedules:
     def test_history_tracking_disabled(self):
         run_schedule(13, STLocalConfig(warmup=2, track_history=False))
 
-    def test_seeded_schedules_take_the_incremental_path(self):
-        # The oracle above must also cover syncs that keep the pattern
-        # set and score only the new documents, not just rebuilds.
-        delta_updates = sum(
-            run_schedule(seed, STLocalConfig(warmup=2)).stats.delta_updates
-            for seed in range(5)
-        )
-        assert delta_updates >= 1
+    def test_custom_baseline_replays(self):
+        # The sweep only reproduces the running-mean default; any other
+        # baseline must build live trackers by replay and still match.
+        run_schedule(41, STLocalConfig(warmup=2, baseline_factory=EWMABaseline))
+
+    def test_seeded_schedules_sweep_then_replay(self, monkeypatch):
+        # The oracle above must cover both halves of a durable tracker's
+        # life: built by the columnar sweep on the term's first touch,
+        # then extended snapshot by snapshot with process().
+        built = []
+        sweep_term = incremental.sweep_term
+
+        def recording_sweep(*args, **kwargs):
+            tracker = sweep_term(*args, **kwargs)
+            built.append((tracker, tracker.clock))
+            return tracker
+
+        monkeypatch.setattr(incremental, "sweep_term", recording_sweep)
+        for seed in range(5):
+            run_schedule(seed, STLocalConfig(warmup=2))
+        assert built
+        assert any(tracker.clock > clock for tracker, clock in built)
 
 
 class TestHypothesisSchedules:

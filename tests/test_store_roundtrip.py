@@ -643,24 +643,75 @@ class TestLiveCheckpoint:
                 engine.search("storm", k=k)
             )
 
+    @staticmethod
+    def cold_engine(live):
+        """A static engine batch-mined from the live documents."""
+        cold = SpatiotemporalCollection(live.timeline)
+        for sid, point in live.locations().items():
+            cold.add_stream(sid, point)
+        for document in live.collection.documents():
+            cold.add_document(document)
+        return BurstySearchEngine(cold, BatchMiner().mine_regional(cold))
+
     def test_restored_engine_matches_cold_batch_rebuild(self, tmp_path):
         live, engine = self.build()
         self.drive(engine, live, 20)
         engine.search("storm", k=5)
         path = str(tmp_path / "ckpt")
         engine.checkpoint(path)
+        # Trackers are derived state: a checkpoint stores none.
+        files = SegmentReader(path).manifest["files"]
+        assert not [name for name in files if name.startswith("trackers/")]
         restored = LiveSearchEngine.from_checkpoint(path)
 
-        cold = SpatiotemporalCollection(live.timeline)
-        for sid, point in live.locations().items():
-            cold.add_stream(sid, point)
-        for document in live.collection.documents():
-            cold.add_document(document)
-        batch = BurstySearchEngine(cold, BatchMiner().mine_regional(cold))
+        batch = self.cold_engine(live)
         assert ranking(restored.search("storm", k=10)) == ranking(
             batch.search("storm", k=10)
         )
         verify_store(path)
+
+    def test_legacy_trackers_segment_is_ignored(self, tmp_path):
+        # Checkpoints written before trackers became derived state carry
+        # a trackers/ segment and a doc_cursor per term; restore reads
+        # neither, rebuilds trackers from the documents, and keeps
+        # answering and ingesting exactly like a cold batch rebuild.
+        live, engine = self.build()
+        self.drive(engine, live, 16)
+        for query in ("storm", "filler"):
+            engine.search(query, k=5)
+        path = str(tmp_path / "legacy")
+        engine.checkpoint(path)
+        reader = SegmentReader(path)
+        manifest = dict(reader.manifest)
+        meta = reader.json("live/meta.json")
+        meta["states"] = [
+            {**state, "doc_cursor": live.term_version(state["term"])}
+            for state in meta["states"]
+        ]
+        writer = SegmentWriter(path, fresh=False)
+        encode_trackers(writer, "trackers", engine.feeder._trackers)
+        writer.add_json("live/meta.json", meta)
+        manifest["files"] = {**manifest["files"], **writer._files}
+        rewrite_manifest(path, manifest)
+        assert SegmentReader(path, verify=True).has("trackers/meta.json")
+
+        restored = LiveSearchEngine.from_checkpoint(path)
+        queries = ("storm", "filler", "storm filler")
+        for query in queries:
+            assert ranking(restored.search(query, k=10)) == ranking(
+                engine.search(query, k=10)
+            )
+        # Continue the identical feed into both engines.
+        saved_doc, saved_from = self._doc, self._from
+        self.drive(engine, live, 28, seed=5)
+        self._doc, self._from = saved_doc, saved_from
+        self.drive(restored, restored.live, 28, seed=5)
+        batch = self.cold_engine(restored.live)
+        for query in queries:
+            for k in (3, 10):
+                expected = ranking(batch.search(query, k=k))
+                assert ranking(restored.search(query, k=k)) == expected
+                assert ranking(engine.search(query, k=k)) == expected
 
     def test_legacy_meta_key_is_ignored(self, tmp_path):
         # Checkpoints written before the live engine dropped its delta
