@@ -14,9 +14,9 @@ Each corpus is mined three ways, all byte-identical by assertion:
 
 * **term-major** — the seed's legacy mining sweep: replay the full
   timeline once per term (``patterns_for_term`` in a loop);
-* **snapshot-major** — the per-snapshot replay pipeline of
-  ``BatchMiner(columnar=False)`` (PR 1), kept as the reference oracle;
-* **columnar** — ``BatchMiner(columnar=True)``: vectorized burstiness
+* **snapshot-major** — the per-snapshot replay
+  (:func:`repro.pipeline.batch.replay_trackers`), the reference oracle;
+* **columnar** — ``BatchMiner``: vectorized burstiness
   matrices, one batched-Kadane tensor for every rectangle extraction,
   region lifecycles off precomputed score series.
 
@@ -33,7 +33,7 @@ import os
 import random
 import time
 
-from bench_pipeline import build_event_corpus
+from bench_pipeline import build_event_corpus, mine_by_replay
 from conftest import report
 
 from repro import (
@@ -45,6 +45,7 @@ from repro import (
     STLocal,
     SpatiotemporalCollection,
 )
+from repro.search.relevance import log_relevance
 
 TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 
@@ -121,17 +122,16 @@ def _mining_comparison(collection, rounds):
     locations = collection.locations()
     terms = sorted(tensor.terms)
     stlocal = STLocal()
-    legacy_miner = BatchMiner(stlocal=stlocal, columnar=False)
-    columnar_miner = BatchMiner(stlocal=stlocal, columnar=True)
+    columnar_miner = BatchMiner(stlocal=stlocal)
     # Warm every measured path before timing (imports, allocators).
     columnar_miner.mine_regional(tensor, terms, locations)
-    legacy_miner.mine_regional(tensor, terms, locations)
+    mine_by_replay(stlocal, tensor, terms, locations)
 
     term_major_t, term_major = _best_of(
         lambda: _mine_term_major(stlocal, tensor, terms, locations), 1
     )
     snapshot_t, snapshot = _best_of(
-        lambda: legacy_miner.mine_regional(tensor, terms, locations), rounds
+        lambda: mine_by_replay(stlocal, tensor, terms, locations), rounds
     )
     columnar_t, columnar = _best_of(
         lambda: columnar_miner.mine_regional(tensor, terms, locations), rounds
@@ -155,6 +155,12 @@ def _mining_comparison(collection, rounds):
     }
 
 
+def reference_log_relevance(document, term):
+    """``log_relevance`` behind a callable the engine cannot vectorize:
+    every posting goes through the reference ``score_posting`` loop."""
+    return log_relevance(document, term)
+
+
 def _search_comparison(collection):
     tensor = FrequencyTensor(collection)
     terms = sorted(tensor.terms)
@@ -162,10 +168,12 @@ def _search_comparison(collection):
         tensor, terms, collection.locations()
     )
     started = time.perf_counter()
-    legacy = BurstySearchEngine(collection, mined, columnar=False)
+    legacy = BurstySearchEngine(
+        collection, mined, relevance=reference_log_relevance
+    )
     legacy_t = time.perf_counter() - started
     started = time.perf_counter()
-    columnar = BurstySearchEngine(collection, mined, columnar=True)
+    columnar = BurstySearchEngine(collection, mined)
     columnar_t = time.perf_counter() - started
 
     checked = 0

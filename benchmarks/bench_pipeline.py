@@ -5,9 +5,10 @@ workload of Section 6.2) is mined three ways:
 
 * **term-major** — the seed behaviour: replay the full timeline once
   per term (``patterns_for_term`` in a loop);
-* **snapshot-major** — :class:`repro.pipeline.BatchMiner`: one sweep
-  over the shared tensor feeds every tracker, skipping each term's
-  quiet prefix and post-burst tail;
+* **snapshot-major** — the per-snapshot replay of
+  :func:`repro.pipeline.batch.replay_trackers`: one sweep over the
+  shared tensor feeds every tracker, skipping each term's quiet prefix
+  and post-burst tail;
 * **sharded** — the same pipeline with ``workers=2`` (term-sharded
   multiprocessing; informational on single-core runners).
 
@@ -32,6 +33,7 @@ from repro import (
     SpatiotemporalCollection,
 )
 from repro.pipeline import BatchMiner
+from repro.pipeline.batch import replay_trackers
 
 #: CI smoke mode: shrink the workload and skip the wall-clock assertion
 #: (fixed costs dominate at smoke sizes; output parity still holds).
@@ -82,6 +84,18 @@ def build_event_corpus(
     return coll
 
 
+def mine_by_replay(stlocal, tensor, terms, locations):
+    """Regional patterns from the per-snapshot replay, shaped like
+    ``BatchMiner.mine_regional`` output."""
+    trackers = replay_trackers(tensor, terms, locations, stlocal.config)
+    mined = {}
+    for term in terms:
+        patterns = trackers[term].patterns(term)
+        if patterns:
+            mined[term] = patterns
+    return mined
+
+
 def run_pipeline_comparison():
     collection = build_event_corpus()
     tensor = FrequencyTensor(collection)
@@ -101,12 +115,10 @@ def run_pipeline_comparison():
     timings["stlocal_term_major"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    # columnar=False isolates the snapshot-major *order* win this
-    # benchmark is about; the columnar kernel on top is measured
-    # separately in bench_columnar.py.
-    snapshot_major = BatchMiner(stlocal=stlocal, columnar=False).mine_regional(
-        tensor, terms, locations
-    )
+    # The replay isolates the snapshot-major *order* win this benchmark
+    # is about; the columnar kernel on top is measured separately in
+    # bench_columnar.py.
+    snapshot_major = mine_by_replay(stlocal, tensor, terms, locations)
     timings["stlocal_snapshot_major"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -19,16 +19,16 @@ rest of the system delegates to:
   struct-of-arrays document store (int-coded terms, timestamps,
   stream coordinates, a term-major CSR index) replacing dict-of-lists
   traversals in the search layer;
-* :mod:`repro.columnar.postings` — :class:`PostingArray`, sorted
-  ``(doc, score)`` ndarrays with vectorized sort/merge/top-k behind the
-  existing :class:`~repro.search.inverted_index.PostingList` API;
+* :mod:`repro.columnar.postings` — :class:`PostingArray`, the one
+  posting-list type: sorted ``(doc, score)`` ndarrays with a vectorized
+  sort, read directly by the top-k kernels;
 * :mod:`repro.columnar.sweep` — the columnar STLocal burst sweep used
   by :class:`repro.pipeline.BatchMiner`, producing trackers whose state
   is indistinguishable from a snapshot-by-snapshot replay.
 
-Every consumer keeps its pure-Python path as the reference oracle; the
-differential tests (``tests/test_columnar_differential.py``) hold the
-two byte-equal on random corpora.
+The differential tests (``tests/test_columnar_differential.py``) hold
+each kernel byte-equal to a pure-Python reference on random corpora;
+references that serve no shipped path live under ``tests/oracles/``.
 
 Submodule attributes are resolved lazily (PEP 562) so that low-level
 modules (e.g. :mod:`repro.temporal.max_segments`) can import

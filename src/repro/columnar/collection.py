@@ -29,8 +29,8 @@ from typing import Dict, Hashable, List, Optional, Set
 
 import numpy as np
 
+from repro.columnar.postings import rank_tiebreak
 from repro.columnar.scoring import TermColumns
-from repro.search.inverted_index import rank_tiebreak
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document
 

@@ -1,37 +1,59 @@
-"""Sorted posting arrays behind the ``PostingList`` API.
+"""Sorted posting arrays: the search layer's one posting-list type.
 
-A :class:`~repro.search.inverted_index.PostingList` sorts Python
-``Posting`` objects with a per-element key callable and keeps a dict for
-random access — fine per query term, expensive when the search layer
-builds postings for an entire vocabulary.  :class:`PostingArray` is the
-columnar drop-in: scores, tiebreaks and document ids live in parallel
-arrays, ordering is one ``np.lexsort`` over the same ``(-score,
-crc32(doc))`` key, and a merge is one array concatenation.
+Section 5 serves queries from an inverted index mapping each term to
+its documents ranked by score.  :class:`PostingArray` holds one term's
+postings as struct-of-arrays: scores, tiebreaks and document ids live
+in parallel arrays, and ordering is one ``np.lexsort`` over the
+``(-score, crc32(doc))`` key.  ``lexsort`` is a stable mergesort, so
+equal keys keep their input order, exactly as Python's stable
+``sorted`` over :class:`Posting` objects with that key would.
+``Posting`` objects are materialised lazily — the Threshold Algorithm
+usually touches only a short sorted-access prefix.
 
-Order is *byte-identical* to the legacy list: ``lexsort`` is a stable
-mergesort over the identical key values, so equal keys preserve input
-order exactly as Python's stable ``sorted`` does.  ``Posting`` objects
-are materialised lazily — the Threshold Algorithm usually touches only
-a short sorted-access prefix.
+:class:`PackedPostingArray` serves the same protocol over
+block-compressed store columns.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import zlib
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.search.inverted_index import Posting, PostingList, rank_tiebreak
-
-__all__ = ["PackedPostingArray", "PostingArray"]
+__all__ = ["PackedPostingArray", "Posting", "PostingArray", "rank_tiebreak"]
 
 
-class PostingArray(PostingList):
+def rank_tiebreak(doc_id: Hashable) -> int:
+    """Deterministic but unbiased ordering key for equal scores.
+
+    Insertion order or lexicographic ids would systematically favour
+    some documents (e.g. the earliest generated); hashing removes that
+    bias while keeping rankings reproducible across runs.
+    """
+    return zlib.crc32(repr(doc_id).encode())
+
+
+@dataclasses.dataclass(frozen=True)
+class Posting:
+    """One document's entry in a term's posting list.
+
+    Attributes:
+        doc_id: The document.
+        score: The per-term score (relevance × burstiness).
+    """
+
+    doc_id: Hashable
+    score: float
+
+
+class PostingArray:
     """A term's postings as struct-of-arrays, sorted by score descending.
 
-    Implements the full sorted-access / random-access protocol of
-    :class:`~repro.search.inverted_index.PostingList` (TA and the
-    vectorized top-k kernel operate on it unchanged).
+    Supports both access modes TA needs: *sorted access* (iteration in
+    score order) and *random access* (score lookup by document); the
+    vectorized top-k kernel reads the sorted columns directly.
 
     Args:
         doc_ids: Document identifiers, in scoring order.
@@ -39,7 +61,7 @@ class PostingArray(PostingList):
         tiebreaks: Optional precomputed ``rank_tiebreak`` values; computed
             on demand when omitted.
         presorted: Skip the sort when the inputs are already in posting
-            order (e.g. the output of :meth:`merged_with`).
+            order (e.g. columns read back from a segment store).
     """
 
     def __init__(
@@ -49,8 +71,6 @@ class PostingArray(PostingList):
         tiebreaks: Optional[Sequence[int]] = None,
         presorted: bool = False,
     ) -> None:
-        # Deliberately *not* calling PostingList.__init__: the arrays
-        # replace its _sorted/_by_doc storage wholesale.
         ids = list(doc_ids)
         score_arr = np.asarray(scores, dtype="<f8")
         if tiebreaks is None:
@@ -97,8 +117,7 @@ class PostingArray(PostingList):
         memory-mapped score/tiebreak slices; they are served as-is.
         ``random_access`` optionally seeds the full random-access map —
         a reloaded *pruned* list knows more documents than its sorted
-        columns expose (see
-        :meth:`~repro.search.inverted_index.PostingList.truncated`).
+        columns expose (see :meth:`truncated`).
         """
         array = cls(doc_ids, scores, tiebreaks=tiebreaks, presorted=True)
         if random_access is not None:
@@ -112,10 +131,6 @@ class PostingArray(PostingList):
         if self._by_doc_lazy is None:
             self._by_doc_lazy = dict(zip(self._ids, self._float_scores()))
         return self._by_doc_lazy
-
-    @_by_doc.setter
-    def _by_doc(self, value: Dict[Hashable, float]) -> None:
-        self._by_doc_lazy = dict(value)
 
     def _float_scores(self) -> List[float]:
         if self._score_list is None:
@@ -132,7 +147,7 @@ class PostingArray(PostingList):
         return posting
 
     # ------------------------------------------------------------------
-    # PostingList protocol
+    # Sorted and random access
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._ids)
@@ -155,7 +170,14 @@ class PostingArray(PostingList):
         return [self._posting_at(rank) for rank in range(min(k, len(self._ids)))]
 
     def truncated(self, depth: int) -> "PostingArray":
-        """Impact-ordered pruning with full random access retained."""
+        """Impact-ordered pruning: keep the top ``depth`` postings.
+
+        Sorted access (and iteration) only reaches the retained prefix,
+        while random access still resolves every original document —
+        the classic pruned-index trade-off.  The Threshold Algorithm
+        remains exact over truncated lists *because* an exhausted list
+        keeps bounding unseen documents by its final retained score.
+        """
         clone = PostingArray(
             self._ids[:depth],
             self._scores[:depth],
@@ -195,21 +217,6 @@ class PostingArray(PostingList):
         """
         return self._ids, self._scores, self._ties
 
-    def merged_with(self, delta: "PostingArray") -> "PostingArray":
-        """Merge another sorted array into a fresh sorted array.
-
-        Contract: the result reads exactly like a cold
-        ``PostingList(base + delta)`` over the two lists' postings —
-        concatenating base-then-delta and stable-sorting by the shared
-        ``(-score, tiebreak)`` key prefers the base side on full-key
-        ties, as the cold constructor's stable sort does.  The live
-        engine merges a term's newly scored documents this way.
-        """
-        ids = self._ids + delta._ids
-        scores = np.concatenate((self._scores, delta._scores))
-        ties = np.concatenate((self._ties, delta._ties))
-        return PostingArray(ids, scores, tiebreaks=ties)
-
 
 class PackedPostingArray(PostingArray):
     """A :class:`PostingArray` over block-compressed stored columns.
@@ -219,7 +226,7 @@ class PackedPostingArray(PostingArray):
     first touch: ``len`` and block-boundary score reads cost no decode
     at all, the top-k kernel pulls score/tiebreak blocks individually
     through the ``packed`` attribute, and the dense-column protocol
-    below (iteration, merge, re-save) materialises full columns only
+    below (iteration, re-save) materialises full columns only
     when actually used.  Decoded values are byte-identical to the raw
     layout, so every consumer sees the same postings either way.
     """
@@ -252,8 +259,8 @@ class PackedPostingArray(PostingArray):
         source,
         random_access: Optional[Dict[Hashable, float]] = None,
     ) -> None:
-        # Like the parent, no PostingList.__init__: columns live in the
-        # packed source until first dense touch.
+        # No PostingArray.__init__: columns live in the packed source
+        # until first dense touch.
         self.packed = source
         self._score_list = None
         self._postings = {}

@@ -106,8 +106,8 @@ class LocationStore:
 
     Holds the coordinate columns every term's sweep reads from, plus
     the (optional) spatial index handed to each produced tracker — the
-    per-call equivalents of what ``BatchMiner.regional_trackers`` built
-    inline for the legacy path.
+    per-call equivalents of what
+    :func:`~repro.pipeline.batch.replay_trackers` builds inline.
     """
 
     def __init__(self, locations: Dict[Hashable, Point]) -> None:

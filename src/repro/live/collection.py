@@ -36,9 +36,9 @@ from typing import (
 
 import numpy as np
 
+from repro.columnar.postings import rank_tiebreak
 from repro.columnar.scoring import TermColumns
 from repro.errors import StreamError
-from repro.search.inverted_index import rank_tiebreak
 from repro.spatial.geometry import Point
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document

@@ -26,15 +26,15 @@ sparse slices, with three structural savings over the term-major loop:
 One spatial index over the stream locations is shared by all trackers.
 
 On top of the snapshot-major order, the regional sweep itself runs on
-the columnar kernel by default (``columnar=True``): each term's whole
+the columnar kernel whenever :func:`~repro.columnar.sweep.
+columnar_supported` accepts the configuration: each term's whole
 burstiness matrix is vectorized in one pass and the per-snapshot
 R-Bursty stage runs scalar off that matrix
 (:mod:`repro.columnar.sweep`), producing byte-identical trackers.  The
-kernel only understands the paper-default running-mean baseline, so a
-custom ``baseline_factory`` automatically falls back to the legacy
-per-snapshot replay — which also remains available explicitly
-(``columnar=False``) as the reference oracle for the differential
-tests and benchmarks.
+kernel only understands the paper-default running-mean baseline; a
+custom ``baseline_factory`` runs :func:`replay_trackers`, the
+per-snapshot replay, which the differential tests and benchmarks also
+call directly as the reference oracle.
 
 The pipeline also shards terms across processes (``workers=N``) for
 STLocal and STComb alike; results are bit-identical to the serial sweep
@@ -54,6 +54,7 @@ from typing import (
 )
 
 from repro.columnar.sweep import columnar_supported
+from repro.core.config import STLocalConfig
 from repro.core.patterns import CombinatorialPattern, RegionalPattern
 from repro.core.stcomb import STComb
 from repro.core.stlocal import STLocal, STLocalTermTracker, _resolve
@@ -62,7 +63,7 @@ from repro.spatial.index import IntervalSpatialIndex, SpatialIndex
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.frequency import FrequencyTensor
 
-__all__ = ["BatchMiner"]
+__all__ = ["BatchMiner", "replay_trackers"]
 
 TensorLike = Union[SpatiotemporalCollection, FrequencyTensor]
 
@@ -83,10 +84,6 @@ class BatchMiner:
             active snapshot (see module docstring).  Patterns are
             identical either way for non-negative baselines; only the
             trackers' per-snapshot history series end earlier.
-        columnar: Use the vectorized columnar sweep for regional mining
-            when the configuration supports it (see
-            :func:`repro.columnar.sweep.columnar_supported`); disable
-            to force the legacy per-snapshot replay.
 
     Example::
 
@@ -105,13 +102,11 @@ class BatchMiner:
         stcomb: Optional[STComb] = None,
         workers: Optional[int] = None,
         truncate_tails: bool = True,
-        columnar: bool = True,
     ) -> None:
         self.stlocal = stlocal if stlocal is not None else STLocal()
         self.stcomb = stcomb if stcomb is not None else STComb()
         self.workers = max(1, int(workers)) if workers else 1
         self.truncate_tails = truncate_tails
-        self.columnar = columnar
 
     # ------------------------------------------------------------------
     # Regional (STLocal) pipeline
@@ -131,58 +126,15 @@ class BatchMiner:
         """
         tensor, locations = _resolve(data, locations)
         terms = self._term_list(tensor, terms)
-        if self.columnar and columnar_supported(self.stlocal.config):
+        if columnar_supported(self.stlocal.config):
             return self._columnar_trackers(tensor, terms, locations)
-        index: Optional[SpatialIndex] = None
-        if len(locations) > STLocalTermTracker.INDEX_THRESHOLD:
-            index = IntervalSpatialIndex(list(locations.items()))
-        # One immutable location map (and one spatial index) shared by
-        # every tracker — per-tracker copies would cost
-        # O(|terms| × |streams|) memory over a full vocabulary.
-        shared_locations = dict(locations)
-        trackers = {
-            term: STLocalTermTracker(
-                shared_locations,
-                config=self.stlocal.config,
-                index=index,
-                copy_locations=False,
-            )
-            for term in terms
-        }
-
-        snapshots: Dict[str, Dict[int, Dict[Hashable, float]]] = {}
-        spans: Dict[str, Tuple[int, int]] = {}
-        starting: Dict[int, List[str]] = {}
-        for term in terms:
-            snaps = _term_snapshots(tensor, term)
-            if not snaps:
-                continue
-            first, last = min(snaps), max(snaps)
-            snapshots[term] = snaps
-            spans[term] = (first, last)
-            starting.setdefault(first, []).append(term)
-
-        timeline = tensor.timeline
-        live: List[str] = []
-        for timestamp in range(timeline):
-            for term in starting.get(timestamp, ()):
-                trackers[term].fast_forward(timestamp)
-                live.append(term)
-            if not live:
-                continue
-            survivors: List[str] = []
-            for term in live:
-                trackers[term].process(
-                    snapshots[term].get(timestamp, {})
-                )
-                if self.truncate_tails and timestamp >= spans[term][1]:
-                    # Nothing after the last activity can score; release
-                    # the term's slices as it retires from the sweep.
-                    del snapshots[term]
-                    continue
-                survivors.append(term)
-            live = survivors
-        return trackers
+        return replay_trackers(
+            tensor,
+            terms,
+            locations,
+            self.stlocal.config,
+            truncate_tails=self.truncate_tails,
+        )
 
     def _columnar_trackers(
         self,
@@ -338,3 +290,81 @@ def _term_snapshots(tensor, term: str) -> Dict[int, Dict[Hashable, float]]:
         if snapshot:
             snapshots[timestamp] = snapshot
     return snapshots
+
+
+def replay_trackers(
+    tensor,
+    terms: Sequence[str],
+    locations: Dict[Hashable, Point],
+    config: STLocalConfig,
+    truncate_tails: bool = True,
+) -> Dict[str, STLocalTermTracker]:
+    """Per-snapshot replay: every term's tracker fed one snapshot at a time.
+
+    The snapshot-major loop over :meth:`STLocalTermTracker.process`:
+    each tracker is fast-forwarded to its term's first active snapshot
+    and, with ``truncate_tails``, retired after its last.  It is the
+    only path for baselines the columnar sweep does not support, and
+    the reference the differential tests and benchmarks compare the
+    sweep against.
+
+    Args:
+        tensor: The frequency tensor (or any source with ``timeline``
+            and ``slice_at``).
+        terms: Terms to track, each once.
+        locations: Stream locations.
+        config: The STLocal configuration.
+        truncate_tails: Stop feeding a term after its last active
+            snapshot (see the module docstring).
+
+    Returns:
+        One tracker per term, in ``terms`` order.
+    """
+    index: Optional[SpatialIndex] = None
+    if len(locations) > STLocalTermTracker.INDEX_THRESHOLD:
+        index = IntervalSpatialIndex(list(locations.items()))
+    # One immutable location map (and one spatial index) shared by
+    # every tracker — per-tracker copies would cost
+    # O(|terms| × |streams|) memory over a full vocabulary.
+    shared_locations = dict(locations)
+    trackers = {
+        term: STLocalTermTracker(
+            shared_locations,
+            config=config,
+            index=index,
+            copy_locations=False,
+        )
+        for term in terms
+    }
+
+    snapshots: Dict[str, Dict[int, Dict[Hashable, float]]] = {}
+    spans: Dict[str, Tuple[int, int]] = {}
+    starting: Dict[int, List[str]] = {}
+    for term in terms:
+        snaps = _term_snapshots(tensor, term)
+        if not snaps:
+            continue
+        first, last = min(snaps), max(snaps)
+        snapshots[term] = snaps
+        spans[term] = (first, last)
+        starting.setdefault(first, []).append(term)
+
+    timeline = tensor.timeline
+    live: List[str] = []
+    for timestamp in range(timeline):
+        for term in starting.get(timestamp, ()):
+            trackers[term].fast_forward(timestamp)
+            live.append(term)
+        if not live:
+            continue
+        survivors: List[str] = []
+        for term in live:
+            trackers[term].process(snapshots[term].get(timestamp, {}))
+            if truncate_tails and timestamp >= spans[term][1]:
+                # Nothing after the last activity can score; release
+                # the term's slices as it retires from the sweep.
+                del snapshots[term]
+                continue
+            survivors.append(term)
+        live = survivors
+    return trackers

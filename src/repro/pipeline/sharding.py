@@ -40,7 +40,7 @@ def split_terms(terms: Sequence[str], shards: int) -> List[List[str]]:
 
 
 def _mine_shard(
-    kind, stlocal, stcomb, truncate_tails, columnar, tensor, terms, locations
+    kind, stlocal, stcomb, truncate_tails, tensor, terms, locations
 ):
     """Worker entry point: mine one shard serially in this process."""
     from repro.pipeline.batch import BatchMiner
@@ -50,7 +50,6 @@ def _mine_shard(
         stcomb=stcomb,
         workers=1,
         truncate_tails=truncate_tails,
-        columnar=columnar,
     )
     if kind == "regional":
         return miner.mine_regional(tensor, terms, locations)
@@ -83,11 +82,10 @@ def mine_shards(
     shards = split_terms(terms, workers)
     if not shards:
         return {}
-    columnar = getattr(miner, "columnar", True)
     if len(shards) <= 1:
         return _mine_shard(
             kind, miner.stlocal, miner.stcomb, miner.truncate_tails,
-            columnar, tensor, list(terms), locations,
+            tensor, list(terms), locations,
         )
     merged: Dict = {}
     with concurrent.futures.ProcessPoolExecutor(
@@ -100,7 +98,6 @@ def mine_shards(
                 miner.stlocal,
                 miner.stcomb,
                 miner.truncate_tails,
-                columnar,
                 tensor,
                 shard,
                 locations,

@@ -6,7 +6,7 @@ from repro.search.relevance import (
     log_relevance,
     raw_relevance,
 )
-from repro.search.inverted_index import InvertedIndex, Posting, PostingList
+from repro.search.inverted_index import InvertedIndex, Posting
 from repro.search.threshold_algorithm import (
     TopKResult,
     exhaustive_topk,
@@ -35,7 +35,6 @@ __all__ = [
     "EnsembleSearchEngine",
     "InvertedIndex",
     "Posting",
-    "PostingList",
     "RelevanceFunction",
     "STRATEGIES",
     "SearchResult",

@@ -319,7 +319,6 @@ class BurstySearchEngine(_PatternEngineBase):
         relevance: RelevanceFunction = log_relevance,
         aggregate: Callable[[Sequence[float]], float] = _default_aggregate,
         precompute: bool = True,
-        columnar: bool = True,
         strategy: str = "auto",
     ) -> None:
         super().__init__(
@@ -329,7 +328,6 @@ class BurstySearchEngine(_PatternEngineBase):
             strategy=strategy,
         )
         self._patterns = dict(patterns)
-        self._columnar = columnar
         self._store = None
         self._segments = None
         if precompute:
@@ -459,10 +457,9 @@ class BurstySearchEngine(_PatternEngineBase):
         one :class:`~repro.columnar.collection.ColumnarCollection`
         snapshot serves every term's postings from its term-major index
         (vectorized overlap masks, cached log-relevance, one stable
-        ``lexsort``), byte-identical to the per-document loop, which
-        remains both as the fallback for custom relevance/aggregate
-        callables or pattern types and as the differential-test oracle
-        (``columnar=False``).
+        ``lexsort``), byte-identical to the per-document
+        :func:`score_posting` loop, which remains the path for custom
+        relevance/aggregate callables and pattern types.
 
         Args:
             terms: Terms to index; defaults to every term with at least
@@ -504,10 +501,8 @@ class BurstySearchEngine(_PatternEngineBase):
             vectorizable_relevance,
         )
 
-        if (
-            self._columnar
-            and self.aggregate is _default_aggregate
-            and vectorizable_relevance(self.relevance)
+        if self.aggregate is _default_aggregate and vectorizable_relevance(
+            self.relevance
         ):
             store = self._columnar_store()
             for term in pending:

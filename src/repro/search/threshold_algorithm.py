@@ -19,7 +19,7 @@ Two aspects of the stopping rule deserve care:
   the threshold understates the bound whenever the final score is
   positive, which terminates too early and returns a wrong top-k for
   posting lists whose sorted access is a pruned prefix of their random
-  access (see :meth:`~repro.search.inverted_index.PostingList.truncated`);
+  access (see :meth:`~repro.columnar.postings.PostingArray.truncated`);
 * the stop test must be *strict* (``k-th score > threshold``): with
   ``>=``, an unseen document can tie the k-th aggregate and win under
   the deterministic document-id tiebreak this module promises.
@@ -33,12 +33,9 @@ import math
 import operator
 from typing import Hashable, List, Optional, Sequence, Set, Tuple
 
+from repro.columnar.postings import PostingArray
 from repro.errors import SearchError
-from repro.search.inverted_index import (
-    PostingList,
-    random_access_map,
-    rank_tiebreak,
-)
+from repro.search.inverted_index import random_access_map, rank_tiebreak
 
 __all__ = ["TopKResult", "threshold_topk", "exhaustive_topk"]
 
@@ -72,7 +69,7 @@ def positive_k(k) -> int:
     return k
 
 
-def validate_topk_args(lists: Sequence[PostingList], k) -> int:
+def validate_topk_args(lists: Sequence[PostingArray], k) -> int:
     """:func:`positive_k`, plus :class:`SearchError` for no lists."""
     k = positive_k(k)
     if not lists:
@@ -81,7 +78,7 @@ def validate_topk_args(lists: Sequence[PostingList], k) -> int:
 
 
 def threshold_topk(
-    lists: Sequence[PostingList],
+    lists: Sequence[PostingArray],
     k: int,
 ) -> Tuple[List[TopKResult], int]:
     """Run TA over per-term posting lists.
@@ -156,7 +153,7 @@ def threshold_topk(
 
 
 def _full_score(
-    lists: Sequence[PostingList], doc_id: Hashable
+    lists: Sequence[PostingArray], doc_id: Hashable
 ) -> Optional[float]:
     """Aggregate score across all lists; ``None`` when absent anywhere."""
     total = 0.0
@@ -169,7 +166,7 @@ def _full_score(
 
 
 def exhaustive_topk(
-    lists: Sequence[PostingList],
+    lists: Sequence[PostingArray],
     k: int,
 ) -> List[TopKResult]:
     """Reference top-k: scan every document of every list.

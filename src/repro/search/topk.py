@@ -31,8 +31,8 @@ Exactness notes:
   *order* is what must match);
 * candidate documents are those visible to *sorted* access somewhere,
   resolved through each list's *random* access relation — the exact
-  semantics of TA over pruned (:meth:`~repro.search.inverted_index.
-  PostingList.truncated`) lists, where random access still answers for
+  semantics of TA over pruned (:meth:`~repro.columnar.postings.
+  PostingArray.truncated`) lists, where random access still answers for
   documents sorted access no longer reaches;
 * the blockmax stopping rule is TA's strict rule at block granularity:
   an exhausted list keeps bounding unseen documents by its final
@@ -68,12 +68,9 @@ from typing import (
 
 import numpy as np
 
+from repro.columnar.postings import PostingArray
 from repro.errors import SearchError
-from repro.search.inverted_index import (
-    PostingList,
-    random_access_map,
-    rank_tiebreak,
-)
+from repro.search.inverted_index import random_access_map
 from repro.search.threshold_algorithm import (
     TopKResult,
     threshold_topk,
@@ -219,7 +216,7 @@ class _Columns:
     * the *sorted-visible* columns (``ids`` / ``scores`` / ``ties``) —
       what sorted access iterates, in rank order;
     * the *random-access index* — every (document, score) pair
-      :meth:`~repro.search.inverted_index.PostingList.random_access`
+      :meth:`~repro.columnar.postings.PostingArray.random_access`
       would answer, keyed for vectorized gathers.
 
     For a non-pruned :class:`~repro.columnar.postings.PostingArray`
@@ -252,7 +249,7 @@ class _Columns:
         "_map_order",
     )
 
-    def __init__(self, posting_list: PostingList) -> None:
+    def __init__(self, posting_list: PostingArray) -> None:
         source = getattr(posting_list, "packed", None)
         self._packed = source
         if source is not None:
@@ -262,25 +259,10 @@ class _Columns:
             self.scores = _LazyScoreColumn(source)
             self.ties = _LazyTieColumn(source)
         else:
-            columns = getattr(posting_list, "columns", None)
-            if callable(columns):
-                ids, scores, ties = columns()
-                self.ids = ids
-                self.scores = np.asarray(scores, dtype=float)
-                self.ties = np.asarray(ties, dtype="<i8")
-            else:
-                postings = list(posting_list)
-                self.ids = [posting.doc_id for posting in postings]
-                self.scores = np.fromiter(
-                    (posting.score for posting in postings),
-                    dtype=float,
-                    count=len(postings),
-                )
-                self.ties = np.fromiter(
-                    (rank_tiebreak(doc_id) for doc_id in self.ids),
-                    dtype="<i8",
-                    count=len(self.ids),
-                )
+            ids, scores, ties = posting_list.columns()
+            self.ids = ids
+            self.scores = np.asarray(scores, dtype=float)
+            self.ties = np.asarray(ties, dtype="<i8")
         self._plist = posting_list
         self._by_doc: Optional[Dict[Hashable, float]] = None
         keys = _int_keys(self.ids)
@@ -326,18 +308,13 @@ class _Columns:
     def _columns_are_map(self) -> bool:
         """True when the sorted columns cover the random-access relation.
 
-        A ``PostingArray`` whose lazy dict was never *overridden* (the
-        pruning path replaces it wholesale) answers random access
-        exactly from its columns; for other implementations, equality
-        of sizes between the dict and the visible column proves the
-        visible prefix is the whole relation.
+        A list whose lazy dict was never *seeded* (pruning and the store
+        load path seed it wholesale) answers random access exactly from
+        its columns; a seeded dict covers the columns, so equal sizes
+        prove the visible prefix is the whole relation.
         """
-        posting_list = self._plist
-        lazy = getattr(posting_list, "_by_doc_lazy", _MISSING)
-        if lazy is not _MISSING:
-            return lazy is None or len(lazy) == len(self.ids)
-        by_doc = getattr(posting_list, "_by_doc", None)
-        return isinstance(by_doc, dict) and len(by_doc) == len(self.ids)
+        lazy = self._plist._by_doc_lazy
+        return lazy is None or len(lazy) == len(self.ids)
 
     @property
     def keys(self) -> Optional[np.ndarray]:
@@ -408,7 +385,7 @@ class _Columns:
         return scores, found
 
 
-def _columns(posting_list: PostingList) -> _Columns:
+def _columns(posting_list: PostingArray) -> _Columns:
     """The list's cached columnar view (built on first use).
 
     The cache rides on the posting-list object itself: posting lists
@@ -420,10 +397,7 @@ def _columns(posting_list: PostingList) -> _Columns:
     cached = getattr(posting_list, "_topk_columns", None)
     if cached is None:
         cached = _Columns(posting_list)
-        try:
-            posting_list._topk_columns = cached
-        except AttributeError:
-            pass  # exotic list with __slots__: rebuild per call
+        posting_list._topk_columns = cached
     return cached
 
 
@@ -483,7 +457,7 @@ def _ranked(
 
 
 def _single_prefix_topk(
-    posting_list: PostingList, k: int
+    posting_list: PostingArray, k: int
 ) -> Optional[Tuple[List[TopKResult], int]]:
     """Single-list scan shortcut: the ranking is a column prefix.
 
@@ -497,18 +471,15 @@ def _single_prefix_topk(
     packed list decodes just its covering blocks.  Results and the
     reported access count are byte-identical to the full scan's.
     """
-    if not getattr(posting_list, "ids_unique", False):
-        return None
-    prefix_columns = getattr(posting_list, "prefix_columns", None)
-    if prefix_columns is None:
+    if not posting_list.ids_unique:
         return None
     length = len(posting_list)
-    lazy = getattr(posting_list, "_by_doc_lazy", _MISSING)
-    if lazy is not _MISSING and lazy is not None and len(lazy) != length:
+    lazy = posting_list._by_doc_lazy
+    if lazy is not None and len(lazy) != length:
         return None  # pruned: random access knows more than the columns
     if length == 0:
         return [], 0
-    ids, scores, ties = prefix_columns(min(k, length))
+    ids, scores, ties = posting_list.prefix_columns(min(k, length))
     # Matches _aggregate's sum-from-zero (0.0 + s normalises -0.0).
     totals = np.zeros(len(ids)) + np.asarray(scores, dtype=float)
     keep = np.ones(len(ids), dtype=bool)
@@ -520,7 +491,7 @@ def _single_prefix_topk(
 # Strategy: full vectorized scan
 # ----------------------------------------------------------------------
 def scan_topk(
-    lists: Sequence[PostingList], k: int
+    lists: Sequence[PostingArray], k: int
 ) -> Tuple[List[TopKResult], int]:
     """Exhaustive top-k in one vectorized pass.
 
@@ -615,7 +586,7 @@ class _LazyIds:
 # Strategy: block-max Threshold Algorithm
 # ----------------------------------------------------------------------
 def blockmax_topk(
-    lists: Sequence[PostingList],
+    lists: Sequence[PostingArray],
     k: int,
     block: int = DEFAULT_BLOCK,
 ) -> Tuple[List[TopKResult], int]:
@@ -741,7 +712,7 @@ def blockmax_topk(
 # Dispatch
 # ----------------------------------------------------------------------
 def topk(
-    lists: Sequence[PostingList], k: int, strategy: str = "auto"
+    lists: Sequence[PostingArray], k: int, strategy: str = "auto"
 ) -> Tuple[List[TopKResult], TopKStats]:
     """Top-k under Eq. 10 aggregation with a pluggable strategy.
 
@@ -777,7 +748,7 @@ def topk(
 
 
 def topk_many(
-    queries: Sequence[Sequence[PostingList]],
+    queries: Sequence[Sequence[PostingArray]],
     k: int,
     strategy: str = "auto",
 ) -> List[Tuple[List[TopKResult], TopKStats]]:

@@ -22,7 +22,7 @@ Codecs:
 * **postings** — per-term :class:`~repro.columnar.postings.
   PostingArray` columns as one CSR over a shared doc-id table, plus a
   *shadow* CSR for random-access-only entries (documents a
-  :meth:`~repro.search.inverted_index.PostingList.truncated` list still
+  :meth:`~repro.columnar.postings.PostingArray.truncated` list still
   answers for but no longer exposes to sorted access).
 * **patterns** — :class:`~repro.core.patterns.RegionalPattern` /
   :class:`~repro.core.patterns.CombinatorialPattern` maps.
@@ -43,17 +43,14 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columnar.postings import PackedPostingArray, PostingArray
 from repro.core.config import STLocalConfig
 from repro.core.patterns import CombinatorialPattern, RegionalPattern
 from repro.core.stlocal import RegionSequence, STLocalTermTracker
 from repro.errors import StoreCorruptionError, StoreError, StoreIOError
 from repro.faults.io import store_io
 from repro.intervals.interval import Interval
-from repro.search.inverted_index import (
-    PostingList,
-    random_access_map,
-    rank_tiebreak,
-)
+from repro.search.inverted_index import random_access_map
 from repro.spatial.geometry import Point, Rectangle
 from repro.store.format import (
     SegmentReader,
@@ -253,7 +250,7 @@ def _posting_term_crc(
 def encode_posting_lists(
     writer: SegmentWriter,
     prefix: str,
-    lists: Dict[str, PostingList],
+    lists: Dict[str, PostingArray],
     codec: str = "raw",
 ) -> None:
     """Persist per-term posting columns as one CSR over a doc-id table.
@@ -261,7 +258,7 @@ def encode_posting_lists(
     The *visible* CSR holds each list's sorted-access columns (document
     rows, score bits, tiebreaks); the *shadow* CSR holds random-access
     entries beyond the visible prefix, which pruned
-    (:meth:`~repro.search.inverted_index.PostingList.truncated`) lists
+    (:meth:`~repro.columnar.postings.PostingArray.truncated`) lists
     carry — both sides round-trip, so a reloaded pruned list answers
     random access for exactly the documents the original did.
 
@@ -283,17 +280,10 @@ def encode_posting_lists(
     shadow_scores: List[float] = []
     for term in terms:
         posting_list = lists[term]
-        visible_ids: List[Hashable] = []
-        if hasattr(posting_list, "columns"):
-            col_ids, col_scores, col_ties = posting_list.columns()
-            visible_ids = list(col_ids)
-            scores.extend(float(s) for s in np.asarray(col_scores, dtype="<f8"))
-            ties.extend(int(t) for t in np.asarray(col_ties, dtype="<i8"))
-        else:
-            for posting in posting_list:
-                visible_ids.append(posting.doc_id)
-                scores.append(posting.score)
-                ties.append(rank_tiebreak(posting.doc_id))
+        col_ids, col_scores, col_ties = posting_list.columns()
+        visible_ids = list(col_ids)
+        scores.extend(float(s) for s in np.asarray(col_scores, dtype="<f8"))
+        ties.extend(int(t) for t in np.asarray(col_ties, dtype="<i8"))
         for doc_id in visible_ids:
             rows.append(table.setdefault(doc_id, len(table)))
         indptr.append(len(rows))
@@ -631,8 +621,6 @@ def decode_posting_list(segment: PostingSegment, index: int):
     (a pruned list) decodes its visible columns eagerly to seed the
     random-access map — exactly what the raw path materialises too.
     """
-    from repro.columnar.postings import PackedPostingArray, PostingArray
-
     s_lo = int(segment._shadow_indptr[index])
     s_hi = int(segment._shadow_indptr[index + 1])
     if segment.codec == "packed":

@@ -42,7 +42,9 @@ from repro.core.stlocal import (
 )
 from repro.intervals.interval import Interval
 from repro.pipeline import IncrementalFeeder
-from repro.search.inverted_index import Posting, PostingList
+from repro.pipeline.batch import replay_trackers
+from repro.search import exhaustive_topk, threshold_topk
+from repro.search.inverted_index import Posting
 from repro.spatial.discrepancy import (
     WeightedPoint,
     max_weight_rectangle,
@@ -55,6 +57,8 @@ from repro.temporal.max_segments import (
     maximal_segments_bruteforce,
     maximal_segments_reference,
 )
+
+from oracles.postings import PostingList, pairs, reference_log_relevance
 
 # ----------------------------------------------------------------------
 # Corpus generation (seeded, bursty + ambient mixture)
@@ -95,6 +99,19 @@ def build_corpus(seed, n_streams=9, timeline=28, n_terms=4):
     return collection
 
 
+def replay_patterns(stlocal, tensor, terms, locations, truncate_tails=True):
+    """The per-snapshot replay's patterns, shaped like ``mine_regional``."""
+    trackers = replay_trackers(
+        tensor, terms, locations, stlocal.config, truncate_tails
+    )
+    mined = {}
+    for term in terms:
+        patterns = trackers[term].patterns(term)
+        if patterns:
+            mined[term] = patterns
+    return mined
+
+
 def assert_trackers_equal(reference, columnar):
     assert reference.rectangle_history == columnar.rectangle_history
     assert reference.open_history == columnar.open_history
@@ -131,13 +148,12 @@ class TestMiningDifferential:
             locations = collection.locations()
             terms = sorted(tensor.terms)
             stlocal = STLocal()
-            legacy = BatchMiner(stlocal=stlocal, columnar=False)
-            columnar = BatchMiner(stlocal=stlocal, columnar=True)
+            columnar = BatchMiner(stlocal=stlocal)
             assert repr(
                 columnar.mine_regional(tensor, terms, locations)
-            ) == repr(legacy.mine_regional(tensor, terms, locations)), seed
-            for term, tracker in legacy.regional_trackers(
-                tensor, terms, locations
+            ) == repr(replay_patterns(stlocal, tensor, terms, locations)), seed
+            for term, tracker in replay_trackers(
+                tensor, terms, locations, stlocal.config
             ).items():
                 columnar_tracker = columnar._columnar_trackers(
                     tensor, [term], locations
@@ -156,11 +172,11 @@ class TestMiningDifferential:
         ):
             stlocal = STLocal(config)
             for truncate in (True, False):
-                legacy = BatchMiner(
-                    stlocal=stlocal, columnar=False, truncate_tails=truncate
-                ).mine_regional(tensor, terms, locations)
+                legacy = replay_patterns(
+                    stlocal, tensor, terms, locations, truncate
+                )
                 columnar = BatchMiner(
-                    stlocal=stlocal, columnar=True, truncate_tails=truncate
+                    stlocal=stlocal, truncate_tails=truncate
                 ).mine_regional(tensor, terms, locations)
                 assert repr(columnar) == repr(legacy)
 
@@ -233,14 +249,8 @@ class TestMiningDifferential:
         terms = sorted(tensor.terms)
         stlocal = STLocal(config)
         assert repr(
-            BatchMiner(stlocal=stlocal, columnar=True).mine_regional(
-                tensor, terms, locations
-            )
-        ) == repr(
-            BatchMiner(stlocal=stlocal, columnar=False).mine_regional(
-                tensor, terms, locations
-            )
-        )
+            BatchMiner(stlocal=stlocal).mine_regional(tensor, terms, locations)
+        ) == repr(replay_patterns(stlocal, tensor, terms, locations))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -251,14 +261,8 @@ class TestMiningDifferential:
         terms = sorted(tensor.terms)
         stlocal = STLocal()
         assert repr(
-            BatchMiner(stlocal=stlocal, columnar=True).mine_regional(
-                tensor, terms, locations
-            )
-        ) == repr(
-            BatchMiner(stlocal=stlocal, columnar=False).mine_regional(
-                tensor, terms, locations
-            )
-        )
+            BatchMiner(stlocal=stlocal).mine_regional(tensor, terms, locations)
+        ) == repr(replay_patterns(stlocal, tensor, terms, locations))
 
 
 # ----------------------------------------------------------------------
@@ -498,37 +502,30 @@ class TestPostingDifferential:
         for posting in postings:
             assert truncated_col.random_access(posting.doc_id) is not None
 
-    @settings(max_examples=80, deadline=None)
-    @given(base=posting_lists, delta=posting_lists)
-    def test_columnar_merge_matches_delta_compaction(self, base, delta):
-        base_ids = {p.doc_id for p in base}
-        base = list({p.doc_id: p for p in base}.values())
-        delta = [
-            p
-            for p in {p.doc_id: p for p in delta}.values()
-            if p.doc_id not in base_ids
-        ]
-        reference = PostingList(base + delta)
-        columnar = PostingArray.from_postings(base).merged_with(
-            PostingArray.from_postings(delta)
-        )
-        assert [(p.doc_id, p.score) for p in reference] == [
-            (p.doc_id, p.score) for p in columnar
-        ]
+    def test_tied_scores_order_like_the_oracle(self):
+        # Equal scores: the crc32 tiebreak decides, exactly as in the
+        # oracle's stable sort, whatever the input order.
+        postings = [Posting(f"doc{i}", 1.0) for i in range(6)]
+        for order in (postings, postings[::-1], postings[3:] + postings[:3]):
+            assert pairs(PostingArray.from_postings(order)) == pairs(
+                PostingList(postings)
+            )
 
-    def test_live_compaction_columnar_equals_reference(self):
-        # Successive incremental syncs merge batch after batch into one
-        # array; the result must read like a cold list over everything.
-        rng = random.Random(17)
-        base = [Posting(f"b{i}", rng.uniform(0, 5)) for i in range(6)]
-        deltas = [Posting(f"d{i}", rng.uniform(0, 5)) for i in range(8)]
-        merged = PostingArray.from_postings(base)
-        for batch in (deltas[:4], deltas[4:]):
-            merged = merged.merged_with(PostingArray.from_postings(batch))
-        reference = PostingList(base + deltas)
-        assert [(p.doc_id, p.score) for p in merged] == [
-            (p.doc_id, p.score) for p in reference
+    def test_ta_over_arrays_matches_oracle_lists(self):
+        spec = [
+            [Posting(i, float(i % 7)) for i in range(20)]
+            + [Posting(100 + i, 6.5 - i) for i in range(8)],
+            [Posting(i, float((i * 3) % 5)) for i in range(15)]
+            + [Posting(100 + i, float(i % 4)) for i in range(8)],
         ]
+        arrays = [PostingArray.from_postings(postings) for postings in spec]
+        oracles = [PostingList(postings) for postings in spec]
+        as_pairs = lambda rs: [(r.doc_id, r.score) for r in rs]
+        for k in (1, 3, 10, 50):
+            reference = as_pairs(exhaustive_topk(oracles, k))
+            assert as_pairs(threshold_topk(arrays, k)[0]) == reference
+            assert as_pairs(threshold_topk(oracles, k)[0]) == reference
+            assert as_pairs(exhaustive_topk(arrays, k)) == reference
 
 
 class TestSearchDifferential:
@@ -540,8 +537,10 @@ class TestSearchDifferential:
             mined = BatchMiner().mine_regional(
                 tensor, terms, collection.locations()
             )
-            legacy = BurstySearchEngine(collection, mined, columnar=False)
-            columnar = BurstySearchEngine(collection, mined, columnar=True)
+            legacy = BurstySearchEngine(
+                collection, mined, relevance=reference_log_relevance
+            )
+            columnar = BurstySearchEngine(collection, mined)
             for term in terms:
                 assert [
                     (p.doc_id, p.score) for p in legacy._posting_list(term)
@@ -565,11 +564,9 @@ class TestSearchDifferential:
             tensor, terms, collection.locations()
         )
         legacy = BurstySearchEngine(
-            collection, mined, aggregate=sum, columnar=False
+            collection, mined, aggregate=sum, relevance=reference_log_relevance
         )
-        columnar = BurstySearchEngine(
-            collection, mined, aggregate=sum, columnar=True
-        )
+        columnar = BurstySearchEngine(collection, mined, aggregate=sum)
         for term in terms:
             assert [
                 (p.doc_id, p.score) for p in legacy._posting_list(term)

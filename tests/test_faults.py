@@ -50,6 +50,8 @@ from repro.store.format import SegmentWriter, rewrite_manifest
 from repro.store.fsck import fsck_store, repair_store
 from repro.store.segments import encode_trackers
 
+from oracles.postings import assert_serves_like_oracle
+
 
 def build_collection(seed=7, streams=4, timeline=16):
     """Tiny deterministic corpus: one burst per term plus filler."""
@@ -266,6 +268,16 @@ class TestDegradedServing:
         assert stats.degraded_terms == ("storm",)
         assert "storm" in loaded.degraded_report()
         # Exactly two read probes were attempted: original + one retry.
+
+    def test_quarantined_term_serves_an_empty_posting_array(self, tmp_path):
+        path, _, _ = self._saved(tmp_path)
+        loaded = BurstySearchEngine.from_store(path, on_corruption="degrade")
+        with install(FaultyIO(FaultPlan.read_eio(path="scores", count=2))):
+            assert loaded.search("storm", k=5) == []
+        assert "storm" in loaded.degraded_report()
+        assert_serves_like_oracle(
+            loaded._posting_list("storm"), [], tmp_path / "served"
+        )
 
     def test_fail_policy_raises_on_eio(self, tmp_path):
         path, _, _ = self._saved(tmp_path)

@@ -8,7 +8,6 @@ from repro.core.stlocal import STLocalTermTracker
 from repro.errors import SearchError, StreamError
 from repro.live import LiveCollection, LiveSearchEngine
 from repro.pipeline import IncrementalFeeder
-from repro.search import Posting, PostingList, exhaustive_topk, threshold_topk
 from repro.search.relevance import log_relevance
 from repro.spatial import Point
 from repro.streams import Document
@@ -110,63 +109,6 @@ class TestLiveCollection:
         live.ingest(Document(1, "s0", 0, ("a",)))
         live.ingest(Document(2, "s1", 0, ("b",)))
         assert seen == [1, 2]
-
-
-def _as_pairs(plist):
-    return [(p.doc_id, p.score) for p in plist]
-
-
-def _merged(base, delta):
-    """What the live engine stores after an incremental sync."""
-    return PostingArray.from_postings(base).merged_with(
-        PostingArray.from_postings(delta)
-    )
-
-
-class TestMergedPostingArray:
-    """``merged_with`` reads exactly like a cold ``PostingList``."""
-
-    def test_merge_order_matches_cold_rebuild(self):
-        base_postings = [Posting("a", 3.0), Posting("b", 1.0), Posting("c", 2.0)]
-        delta_postings = [Posting("d", 2.5), Posting("e", 0.5)]
-        merged = _merged(base_postings, delta_postings)
-        cold = PostingList(base_postings + delta_postings)
-        assert _as_pairs(merged) == _as_pairs(cold)
-        assert len(merged) == 5
-        assert merged.sorted_access(0) == cold.sorted_access(0)
-        assert merged.sorted_access(5) is None
-
-    def test_random_access_covers_both_sides(self):
-        merged = _merged([Posting("a", 1.0)], [Posting("b", 2.0)])
-        assert merged.random_access("a") == 1.0
-        assert merged.random_access("b") == 2.0
-        assert merged.random_access("zzz") is None
-
-    def test_duplicate_scores_keep_deterministic_order(self):
-        # Equal scores: the tiebreak hash decides, exactly as in a
-        # from-scratch posting list.
-        postings = [Posting(f"doc{i}", 1.0) for i in range(6)]
-        merged = _merged(postings[:3], postings[3:])
-        assert _as_pairs(merged) == _as_pairs(PostingList(postings))
-
-    def test_threshold_topk_over_merged_lists(self):
-        """TA over merged arrays must equal TA over a cold rebuild."""
-        base_a = [Posting(i, float(i % 7)) for i in range(20)]
-        delta_a = [Posting(100 + i, 6.5 - i) for i in range(8)]
-        base_b = [Posting(i, float((i * 3) % 5)) for i in range(15)]
-        delta_b = [Posting(100 + i, float(i % 4)) for i in range(8)]
-        merged_lists = [_merged(base_a, delta_a), _merged(base_b, delta_b)]
-        cold_lists = [
-            PostingList(base_a + delta_a),
-            PostingList(base_b + delta_b),
-        ]
-        as_pairs = lambda rs: [(r.doc_id, r.score) for r in rs]
-        for k in (1, 3, 10, 50):
-            merged_results, _ = threshold_topk(merged_lists, k)
-            cold_results, _ = threshold_topk(cold_lists, k)
-            reference = exhaustive_topk(merged_lists, k)
-            assert as_pairs(merged_results) == as_pairs(cold_results)
-            assert as_pairs(merged_results) == as_pairs(reference)
 
 
 class TestTrackerFork:

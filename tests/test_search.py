@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar.postings import PostingArray
 from repro.core import CombinatorialPattern, STComb, STLocal
 from repro.errors import SearchError
 from repro.intervals import Interval
@@ -12,7 +13,6 @@ from repro.search import (
     BurstySearchEngine,
     InvertedIndex,
     Posting,
-    PostingList,
     TemporalSearchEngine,
     binary_relevance,
     blockmax_topk,
@@ -23,8 +23,11 @@ from repro.search import (
     threshold_topk,
     topk,
 )
+from repro.search.engine import score_posting
 from repro.spatial import Point
 from repro.streams import Document, SpatiotemporalCollection
+
+from oracles.postings import assert_serves_like_oracle, reference_log_relevance
 
 
 class TestRelevance:
@@ -44,21 +47,23 @@ class TestRelevance:
 
 class TestPostingList:
     def test_sorted_access_descending(self):
-        plist = PostingList([Posting("a", 1.0), Posting("b", 3.0), Posting("c", 2.0)])
+        plist = PostingArray.from_postings(
+            [Posting("a", 1.0), Posting("b", 3.0), Posting("c", 2.0)]
+        )
         scores = [plist.sorted_access(i).score for i in range(3)]
         assert scores == [3.0, 2.0, 1.0]
 
     def test_sorted_access_past_end(self):
-        plist = PostingList([Posting("a", 1.0)])
+        plist = PostingArray.from_postings([Posting("a", 1.0)])
         assert plist.sorted_access(5) is None
 
     def test_random_access(self):
-        plist = PostingList([Posting("a", 1.0)])
+        plist = PostingArray.from_postings([Posting("a", 1.0)])
         assert plist.random_access("a") == 1.0
         assert plist.random_access("z") is None
 
     def test_top(self):
-        plist = PostingList([Posting(i, float(i)) for i in range(5)])
+        plist = PostingArray.from_postings([Posting(i, float(i)) for i in range(5)])
         assert [p.doc_id for p in plist.top(2)] == [4, 3]
 
     def test_index_registration(self):
@@ -74,7 +79,9 @@ class TestPostingList:
 def _lists_from_spec(spec):
     """spec: list of dicts doc->score."""
     return [
-        PostingList([Posting(doc, score) for doc, score in entries.items()])
+        PostingArray.from_postings(
+            [Posting(doc, score) for doc, score in entries.items()]
+        )
         for entries in spec
     ]
 
@@ -139,9 +146,9 @@ class TestThresholdRegressions:
     def test_exhausted_list_keeps_bounding_unseen_documents(self):
         """A pruned list exhausts early; its final score must stay in
         the threshold or TA stops before finding the true winner."""
-        full = PostingList([Posting("x", 10.0), Posting("y", 9.0)])
+        full = PostingArray.from_postings([Posting("x", 10.0), Posting("y", 9.0)])
         pruned = full.truncated(1)  # sorted access sees only x
-        other = PostingList(
+        other = PostingArray.from_postings(
             [
                 Posting("d1", 3.0),
                 Posting("d2", 2.9),
@@ -175,8 +182,8 @@ class TestThresholdRegressions:
 
     def test_empty_list_excludes_everything(self):
         lists = [
-            PostingList([]),
-            PostingList([Posting("a", 2.0), Posting("b", 1.0)]),
+            PostingArray.from_postings([]),
+            PostingArray.from_postings([Posting("a", 2.0), Posting("b", 1.0)]),
         ]
         results, _ = threshold_topk(lists, 3)
         assert results == []
@@ -384,9 +391,65 @@ class TestTemporalSearchEngine:
         assert not pattern.overlaps(Document(1, "anywhere", 8, ()))
 
 
+def reference_postings(engine, term):
+    """One term's postings, every document scored by ``score_posting``."""
+    patterns = engine.patterns_for(term)
+    postings = []
+    for document in engine.collection.documents():
+        if document.frequency(term):
+            posting = score_posting(
+                document, term, patterns, engine.relevance, engine.aggregate
+            )
+            if posting is not None:
+                postings.append(posting)
+    return postings
+
+
+class TestServedPostingArrays:
+    """Every engine path that scores postings one at a time serves a
+    ``PostingArray`` reading exactly like the object-list oracle."""
+
+    def test_reference_scorer_serves_posting_arrays(self, tmp_path):
+        coll, _ = build_event_collection()
+        for name, miner in (("stcomb", STComb()), ("stlocal", STLocal())):
+            patterns = miner.mine(coll, terms=["quake", "damage"])
+            engine = BurstySearchEngine(
+                coll, patterns, relevance=reference_log_relevance
+            )
+            assert set(patterns) == {"quake", "damage"}
+            for term in patterns:
+                assert_serves_like_oracle(
+                    engine._posting_list(term),
+                    reference_postings(engine, term),
+                    tmp_path / f"{name}-{term}",
+                )
+
+    def test_custom_aggregate_serves_posting_arrays(self, tmp_path):
+        coll, _ = build_event_collection()
+        patterns = STComb().mine(coll, terms=["quake", "damage"])
+        engine = BurstySearchEngine(coll, patterns, aggregate=sum)
+        for term in patterns:
+            assert_serves_like_oracle(
+                engine._posting_list(term),
+                reference_postings(engine, term),
+                tmp_path / term,
+            )
+
+    def test_temporal_engine_serves_posting_arrays(self, tmp_path):
+        coll, _ = build_event_collection()
+        engine = TemporalSearchEngine(coll)
+        for term in ("quake", "filler", "absent"):
+            assert_serves_like_oracle(
+                engine._posting_list(term),
+                reference_postings(engine, term),
+                tmp_path / term,
+            )
+        assert engine._posting_list("quake")
+
+
 class TestPostingListEdgeCases:
     def test_empty_list(self):
-        plist = PostingList([])
+        plist = PostingArray.from_postings([])
         assert len(plist) == 0
         assert plist.sorted_access(0) is None
         assert plist.random_access("a") is None
@@ -394,12 +457,12 @@ class TestPostingListEdgeCases:
         assert list(plist) == []
 
     def test_truncated_empty_list(self):
-        truncated = PostingList([]).truncated(5)
+        truncated = PostingArray.from_postings([]).truncated(5)
         assert len(truncated) == 0
         assert truncated.sorted_access(0) is None
 
     def test_truncated_depth_zero(self):
-        plist = PostingList([Posting("a", 2.0), Posting("b", 1.0)])
+        plist = PostingArray.from_postings([Posting("a", 2.0), Posting("b", 1.0)])
         pruned = plist.truncated(0)
         # Sorted access sees nothing...
         assert pruned.sorted_access(0) is None
@@ -409,12 +472,12 @@ class TestPostingListEdgeCases:
         assert pruned.random_access("b") == 1.0
 
     def test_truncated_depth_beyond_length(self):
-        plist = PostingList([Posting("a", 2.0), Posting("b", 1.0)])
+        plist = PostingArray.from_postings([Posting("a", 2.0), Posting("b", 1.0)])
         pruned = plist.truncated(10)
         assert [p.doc_id for p in pruned] == [p.doc_id for p in plist]
 
     def test_truncated_keeps_best_prefix(self):
-        plist = PostingList(
+        plist = PostingArray.from_postings(
             [Posting("a", 1.0), Posting("b", 3.0), Posting("c", 2.0)]
         )
         pruned = plist.truncated(2)
@@ -425,14 +488,14 @@ class TestPostingListEdgeCases:
         # Equal scores fall back to the hash tiebreak: any insertion
         # order must produce the same ranking.
         postings = [Posting(f"d{i}", 1.5) for i in range(8)]
-        forward = PostingList(postings)
-        backward = PostingList(list(reversed(postings)))
+        forward = PostingArray.from_postings(postings)
+        backward = PostingArray.from_postings(list(reversed(postings)))
         assert [p.doc_id for p in forward] == [p.doc_id for p in backward]
 
     def test_truncation_with_duplicate_scores_stable(self):
         postings = [Posting(f"d{i}", 1.5) for i in range(8)]
-        full_order = [p.doc_id for p in PostingList(postings)]
-        pruned = PostingList(list(reversed(postings))).truncated(3)
+        full_order = [p.doc_id for p in PostingArray.from_postings(postings)]
+        pruned = PostingArray.from_postings(list(reversed(postings))).truncated(3)
         assert [p.doc_id for p in pruned] == full_order[:3]
 
 
@@ -552,8 +615,8 @@ def _boom_live_engine():
 
 
 _K_LISTS = [
-    PostingList([Posting(d, float(10 - d)) for d in range(6)]),
-    PostingList([Posting(d, float(d)) for d in range(1, 7)]),
+    PostingArray.from_postings([Posting(d, float(10 - d)) for d in range(6)]),
+    PostingArray.from_postings([Posting(d, float(d)) for d in range(1, 7)]),
 ]
 
 

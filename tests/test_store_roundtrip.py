@@ -42,10 +42,10 @@ from repro import (
     save_search_index,
     verify_store,
 )
-from repro.columnar.postings import PostingArray
+from repro.columnar.postings import PostingArray, rank_tiebreak
 from repro.errors import StoreError
 from repro.live import LiveSearchEngine
-from repro.search import Posting, PostingList
+from repro.search import InvertedIndex, Posting
 from repro.store import (
     FORMAT_VERSION,
     SegmentReader,
@@ -61,6 +61,8 @@ from repro.store.segments import (
     encode_posting_lists,
     encode_trackers,
 )
+
+from oracles.postings import PostingList
 
 
 def ranking(results):
@@ -345,15 +347,15 @@ class TestPostingSegmentCodec:
 
     def test_truncated_list_keeps_shadow_random_access(self, tmp_path, codec):
         postings = [Posting(doc_id=i, score=float(100 - i)) for i in range(20)]
-        full = PostingList(postings)
-        pruned = full.truncated(5)
+        pruned = PostingArray.from_postings(postings).truncated(5)
+        oracle = PostingList(postings).truncated(5)
         segment = self.round_trip(tmp_path, {"t": pruned}, codec)
         reloaded = segment.posting_array("t")
         assert len(reloaded) == 5
         assert reloaded.sorted_access(5) is None
         # Random access still answers for every pruned-away document.
         for i in range(20):
-            assert reloaded.random_access(i) == pruned.random_access(i)
+            assert reloaded.random_access(i) == oracle.random_access(i)
         assert reloaded.random_access("absent") is None
 
     def test_plain_and_array_lists_agree(self, tmp_path, codec):
@@ -363,16 +365,22 @@ class TestPostingSegmentCodec:
         segment = self.round_trip(
             tmp_path,
             {
-                "plain": PostingList(postings),
+                "plain": InvertedIndex().add("t", postings),
                 "array": PostingArray.from_postings(postings),
             },
             codec,
         )
-        plain = segment.posting_array("plain").columns()
+        oracle = PostingList(postings)
+        plain = (
+            [p.doc_id for p in oracle],
+            np.asarray([p.score for p in oracle], dtype="<f8"),
+            np.asarray([rank_tiebreak(p.doc_id) for p in oracle], dtype="<i8"),
+        )
         array = segment.posting_array("array").columns()
-        assert list(plain[0]) == list(array[0])
-        assert np.asarray(plain[1]).tobytes() == np.asarray(array[1]).tobytes()
-        assert np.asarray(plain[2]).tobytes() == np.asarray(array[2]).tobytes()
+        for decoded in (segment.posting_array("plain").columns(), array):
+            assert list(decoded[0]) == list(plain[0])
+            assert np.asarray(decoded[1]).tobytes() == plain[1].tobytes()
+            assert np.asarray(decoded[2]).tobytes() == plain[2].tobytes()
 
 
 class TestFormatCompat:

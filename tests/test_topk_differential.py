@@ -4,8 +4,9 @@ Pins ``threshold_topk`` (reference TA) == ``blockmax_topk`` ==
 ``scan_topk`` == ``topk(..., "auto")`` == ``exhaustive_topk`` over
 random workloads spanning:
 
-* both posting containers — legacy ``PostingList`` and columnar
-  ``PostingArray`` — mixed within one query;
+* the shipped ``PostingArray`` and the object ``PostingList`` oracle
+  mixed within one query (the vectorized strategies read each oracle
+  list through the array serving exactly its postings);
 * truncated (pruned-prefix) lists, where random access answers for
   documents sorted access no longer reaches, including depth-0 pruning
   and the exhausted-list threshold-bound regression;
@@ -34,7 +35,6 @@ from repro.store.format import SegmentReader, SegmentWriter
 from repro.store.segments import PostingSegment, encode_posting_lists
 from repro.search import (
     Posting,
-    PostingList,
     blockmax_topk,
     exhaustive_topk,
     normalize_query_terms,
@@ -44,6 +44,8 @@ from repro.search import (
     topk_many,
 )
 
+from oracles.postings import PostingList, as_posting_array
+
 
 def ranking(results):
     return [(result.doc_id, result.score) for result in results]
@@ -52,6 +54,9 @@ def ranking(results):
 def assert_all_strategies_agree(lists, k, blocks=(1, 3, 64)):
     """Every strategy — and ``auto`` — must agree exactly."""
     reference = ranking(exhaustive_topk(lists, k))
+    ta, _ = threshold_topk(lists, k)
+    assert ranking(ta) == reference
+    lists = [as_posting_array(plist) for plist in lists]
     ta, _ = threshold_topk(lists, k)
     assert ranking(ta) == reference
     for block in blocks:
