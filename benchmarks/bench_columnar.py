@@ -34,7 +34,7 @@ import random
 import time
 
 from bench_pipeline import build_event_corpus, mine_by_replay
-from conftest import report
+from conftest import TINY, report
 
 from repro import (
     BatchMiner,
@@ -47,7 +47,6 @@ from repro import (
 )
 from repro.search.relevance import log_relevance
 
-TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 

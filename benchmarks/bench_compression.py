@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from conftest import persist_summary, report
+from conftest import TINY, persist_summary, report
 
 from bench_columnar import build_ambient_corpus
 from repro import BatchMiner, BurstySearchEngine, FrequencyTensor
@@ -45,7 +45,6 @@ from repro.spatial.geometry import Point, Rectangle
 from repro.spatial.index import IntervalSpatialIndex, SpatialIndex
 from repro.store import open_store, save_search_index
 
-TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 FULL = os.environ.get("REPRO_FULL", "") == "1"
 
 ROUNDS = 1 if TINY else 3

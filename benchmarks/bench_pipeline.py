@@ -18,11 +18,10 @@ pattern output is byte-identical; the sharded output is value-identical
 processes).
 """
 
-import os
 import random
 import time
 
-from conftest import report
+from conftest import TINY, report
 
 from repro import (
     Document,
@@ -37,7 +36,6 @@ from repro.pipeline.batch import replay_trackers
 
 #: CI smoke mode: shrink the workload and skip the wall-clock assertion
 #: (fixed costs dominate at smoke sizes; output parity still holds).
-TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 
 N_STREAMS = 32 if TINY else 64
 TIMELINE = 128 if TINY else 520

@@ -31,17 +31,15 @@ exhaustive oracle.
 Timings land in ``benchmarks/results/BENCH_search.json``.
 """
 
-import os
 import time
 
 import numpy as np
 
-from conftest import persist_summary, report
+from conftest import TINY, persist_summary, report
 
 from repro.columnar.postings import PostingArray
 from repro.search import exhaustive_topk, threshold_topk, topk, topk_many
 
-TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 
 
 LIST_LEN = 2000 if TINY else 40000

@@ -20,13 +20,12 @@ breakdown land in ``benchmarks/results/BENCH_store.json``.
 import os
 import time
 
-from conftest import persist_summary, report
+from conftest import TINY, persist_summary, report
 
 from bench_columnar import build_ambient_corpus
 from repro import BatchMiner, BurstySearchEngine, FrequencyTensor
 from repro.store import open_store, save_search_index
 
-TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
 
 
 ROUNDS = 1 if TINY else 3

@@ -20,6 +20,11 @@ from repro.datagen import CorpusSettings
 from repro.eval import TopixLab
 
 
+#: Smoke-size run (``REPRO_BENCH_TINY=1``): the speed benchmarks shrink
+#: their inputs and skip their ratio floors.
+TINY = os.environ.get("REPRO_BENCH_TINY", "") == "1"
+
+
 def is_full_run() -> bool:
     return os.environ.get("REPRO_FULL", "") == "1"
 
@@ -52,17 +57,22 @@ def report(name: str, text: str) -> None:
 
 
 def persist_summary(name: str, payload) -> None:
-    """Write a ``BENCH_*.json`` summary to results/ *and* the repo root.
+    """Write a ``BENCH_*.json`` summary to results/ and the repo root.
 
     The results/ copy feeds the CI artifact upload; the repo-root copy
     is committed, so the perf trajectory is tracked in-tree across PRs
-    instead of living only in expiring CI artifacts.
+    instead of living only in expiring CI artifacts.  A smoke run
+    (``REPRO_BENCH_TINY=1``) writes results/ only: its smoke-size
+    numbers must not replace the committed full-size summary.
     """
     import json
 
     os.makedirs(_RESULTS_DIR, exist_ok=True)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    for directory in (_RESULTS_DIR, _REPO_ROOT):
+    directories = [_RESULTS_DIR]
+    if not TINY:
+        directories.append(_REPO_ROOT)
+    for directory in directories:
         with open(
             os.path.join(directory, f"BENCH_{name}.json"),
             "w",

@@ -22,9 +22,10 @@ rest of the system delegates to:
 * :mod:`repro.columnar.postings` — :class:`PostingArray`, the one
   posting-list type: sorted ``(doc, score)`` ndarrays with a vectorized
   sort, read directly by the top-k kernels;
-* :mod:`repro.columnar.sweep` — the columnar STLocal burst sweep used
-  by :class:`repro.pipeline.BatchMiner`, producing trackers whose state
-  is indistinguishable from a snapshot-by-snapshot replay.
+* :mod:`repro.columnar.sweep` — the columnar STLocal term tracker and
+  the burst sweep that extends it, used by
+  :class:`repro.pipeline.BatchMiner` and the live feeder; its state is
+  indistinguishable from a snapshot-by-snapshot replay.
 
 The differential tests (``tests/test_columnar_differential.py``) hold
 each kernel byte-equal to a pure-Python reference on random corpora;
@@ -41,20 +42,18 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columnar.collection import ColumnarCollection
     from repro.columnar.postings import PostingArray
-    from repro.columnar.sweep import columnar_supported, sweep_term
+    from repro.columnar.sweep import columnar_supported
 
 __all__ = [
     "ColumnarCollection",
     "PostingArray",
     "columnar_supported",
-    "sweep_term",
 ]
 
 _EXPORTS = {
     "ColumnarCollection": ("repro.columnar.collection", "ColumnarCollection"),
     "PostingArray": ("repro.columnar.postings", "PostingArray"),
     "columnar_supported": ("repro.columnar.sweep", "columnar_supported"),
-    "sweep_term": ("repro.columnar.sweep", "sweep_term"),
 }
 
 

@@ -385,21 +385,26 @@ def running_mean_burstiness(
     counts: np.ndarray,
     start: int,
     warmup: int,
+    carried: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Discrepancy burstiness of every (stream, snapshot) cell at once.
 
     Args:
         counts: Dense ``(streams × span)`` observed frequencies, column
             ``j`` holding global timestamp ``start + j``.  Rows must
-            cover each stream's entire observation window: the running
-            mean at column ``j`` divides the row's cumulative total
-            before ``j`` by the *global* timestamp, which is exactly the
-            state a lazily-created, zero-primed
+            cover each stream's observations from ``start`` on: the
+            running mean at column ``j`` divides the row's cumulative
+            total before ``j`` by the *global* timestamp, which is
+            exactly the state a lazily-created, zero-primed
             :class:`~repro.temporal.baselines.RunningMeanBaseline`
             reaches after replaying the same snapshots.
         start: Global timestamp of column 0.
         warmup: Snapshots (global) during which burstiness is forced to
             zero while the baseline learns.
+        carried: Each row's model total before ``start`` (zeros when
+            omitted).  The cumulative sum starts from it, so a model
+            advanced in several calls adds exactly the values, in the
+            same order, as one that observed every snapshot.
 
     Returns:
         ``(burstiness, totals)`` — the ``observed − expected`` matrix
@@ -407,10 +412,14 @@ def running_mean_burstiness(
         the last column, for reconstructing live-compatible trackers).
     """
     n, span = counts.shape
-    cumulative = np.cumsum(counts, axis=1)
-    before = np.empty_like(cumulative)
-    before[:, 0] = 0.0
-    before[:, 1:] = cumulative[:, :-1]
+    if carried is None:
+        carried = np.zeros(n)
+    # Column 0 is the carried total; column j + 1 the total through
+    # column j — the model's sequential ``total += value``.
+    running = np.cumsum(
+        np.concatenate((carried[:, None], counts), axis=1), axis=1
+    )
+    before = running[:, :-1]
     timestamps = np.arange(start, start + span, dtype=float)
     divisor = np.maximum(timestamps, 1.0)
     expected = before / divisor
@@ -419,8 +428,8 @@ def running_mean_burstiness(
     burstiness = counts - expected
     if warmup > start:
         burstiness[:, : warmup - start] = 0.0
-    totals = cumulative[:, -1] if span else np.zeros(n)
-    return burstiness, totals
+    # A copy, not a view: trackers keep the totals, not the cumsum.
+    return burstiness, running[:, -1].copy()
 
 
 # ----------------------------------------------------------------------

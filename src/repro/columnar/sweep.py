@@ -1,14 +1,17 @@
-"""Columnar STLocal burst sweep: one tensor slice, zero per-snapshot dicts.
+"""Columnar STLocal burst sweep: the term tracker as arrays.
 
-The legacy snapshot-major sweep (:mod:`repro.pipeline.batch`) advances a
-:class:`~repro.core.stlocal.STLocalTermTracker` one snapshot at a time:
-every ``process`` call updates per-stream expectation-model *objects*,
-builds :class:`~repro.spatial.discrepancy.WeightedPoint` dataclasses,
-and re-enters NumPy for a grid the size of a postage stamp.  This module
-is the columnar rewrite of that inner loop, in three phases:
+The object tracker (:class:`~repro.core.stlocal.STLocalTermTracker`)
+advances one snapshot at a time: every ``process`` call updates
+per-stream expectation-model *objects*, builds
+:class:`~repro.spatial.discrepancy.WeightedPoint` dataclasses, and
+re-enters NumPy for a grid the size of a postage stamp.  This module
+keeps a term's per-stream state as arrays instead
+(:class:`ColumnarTermTracker`: a dense burstiness matrix and one model
+total per stream) and extends a tracker over any run of snapshots
+``[clock, through)`` in three phases:
 
-1. **prepare** — each term's whole ``observed − expected`` burstiness
-   matrix is computed in one vectorized pass
+1. **prepare** — the new ``observed − expected`` burstiness columns are
+   computed in one vectorized pass from each model's carried total
    (:func:`repro.columnar.kernels.running_mean_burstiness`), along with
    one coordinate compression per activation segment;
 2. **batch** — the first R-Bursty rectangle of every segment-batchable
@@ -21,35 +24,46 @@ is the columnar rewrite of that inner loop, in three phases:
    resolved by the same batched kernel in rounds, each round
    compressing every still-pending snapshot exactly as the reference
    per-snapshot call would;
-3. **finish** — rectangles become region lifecycles: a region's whole
-   r-score series is read off its member set's cached score series
-   (sequential member-row additions over the matrix), its pruning
-   snapshot found by one scalar running-total scan, and its
-   Ruzzo–Tompa state materialised in one batch pass.  The result is a
-   *real* ``STLocalTermTracker`` whose state — open sequences,
-   archived windows, histories, expectation models — is
-   indistinguishable from a snapshot-by-snapshot replay.
+3. **finish** — rectangles become region lifecycles: the r-score series
+   of every region alive in the run — the open sequences carried over
+   and the ones created here — is read off its member set's score
+   series (sequential member-row additions over the new columns), its
+   pruning snapshot found by one scalar running-total scan, and a new
+   region's Ruzzo–Tompa state materialised in one batch pass.  Keys,
+   pruning, archive order and sequence-map order are those of one
+   ``process`` call per snapshot.
 
-The fast path only engages for the paper-default baseline (a zero-prior
+The batch miner sweeps every term from a pristine tracker in one call
+(:func:`sweep_terms`); the live feeder (:mod:`repro.pipeline.
+incremental`) extends a term's durable tracker as snapshots seal and a
+fork of it through the open ones.  The columnar tracker only represents
+the paper-default baseline (a zero-prior
 :class:`~repro.temporal.baselines.RunningMeanBaseline`), whose running
 mean is expressible as a prefix sum; any other ``baseline_factory``
-falls back to the legacy replay (see :func:`columnar_supported`).
-Output equality is enforced by ``tests/test_columnar_differential.py``.
+keeps the object tracker and its ``process`` replay (see
+:func:`columnar_supported`).  Output equality is enforced by
+``tests/test_columnar_differential.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.columnar import kernels
 from repro.core.config import STLocalConfig
-from repro.core.stlocal import (
-    RegionSequence,
-    STLocalTermTracker,
-    sequential_sum,
-)
+from repro.core.stlocal import RegionSequence, STLocalTermTracker
 from repro.errors import StreamError
 from repro.intervals.interval import Interval
 from repro.spatial.geometry import Point, Rectangle
@@ -59,10 +73,13 @@ from repro.temporal.max_segments import OnlineMaxSegments
 
 __all__ = [
     "columnar_supported",
+    "ColumnarTermTracker",
     "LocationStore",
-    "sweep_term",
     "sweep_terms",
 ]
+
+#: timestamp → stream → frequency: one term's sparse snapshot slices.
+TermSnapshots = Mapping[int, Mapping[Hashable, float]]
 
 #: Below this stream count a scalar membership scan beats the
 #: vectorized rectangle mask (NumPy call overhead again).
@@ -162,27 +179,27 @@ class _Region:
 
     A region's r-score series is a pure function of the burstiness
     matrix and its member rows, so the moment a rectangle opens a new
-    region its entire value sequence — including the snapshot (if any)
-    whose appended value drives the running total negative, Algorithm
-    2's pruning rule — is read off the member-set's precomputed score
-    series (see ``_finish_term``); no per-snapshot bookkeeping remains.
+    region its entire value sequence within the sweep — through the
+    snapshot (if any) whose appended value drives the running total
+    negative, Algorithm 2's pruning rule — is read off the member-set's
+    precomputed score series (see ``_finish_term``); no per-snapshot
+    bookkeeping remains.  Shares ``region``, ``stream_ids`` and
+    :meth:`windows` with :class:`~repro.core.stlocal.RegionSequence`.
     """
 
-    __slots__ = ("region", "members", "start", "values", "prune_timestamp")
+    __slots__ = ("region", "stream_ids", "start", "values")
 
     def __init__(
         self,
         region: Rectangle,
-        members: FrozenSet[Hashable],
+        stream_ids: FrozenSet[Hashable],
         start: int,
         values: List[float],
-        prune_timestamp: int,
     ) -> None:
         self.region = region
-        self.members = members
+        self.stream_ids = stream_ids
         self.start = start
         self.values = values
-        self.prune_timestamp = prune_timestamp
 
     def windows(self) -> List[Tuple[Interval, float]]:
         """Maximal windows of the buffered sequence (global timeframes)."""
@@ -201,7 +218,7 @@ class _Region:
         )
         return RegionSequence(
             region=self.region,
-            stream_ids=self.members,
+            stream_ids=self.stream_ids,
             start=self.start,
             tracker=OnlineMaxSegments.restore(candidates, cumulative, length),
         )
@@ -231,70 +248,144 @@ class _Segment:
 
 
 class ColumnarTermTracker(STLocalTermTracker):
-    """A sweep-built tracker that answers history queries columnar-ly.
+    """An STLocal term tracker whose per-stream state is columnar.
 
-    Indistinguishable from a replayed ``STLocalTermTracker`` (same
-    sequences, archives, models, histories), but it additionally keeps
-    the term's burstiness matrix so :meth:`bursty_members` — the
-    dominant cost of pattern extraction on history-rich corpora — can
-    sum a row slice instead of probing a per-timestamp dict.  Further
-    ``process`` calls append to state the matrix does not cover, so the
-    first one drops the acceleration and falls back to the inherited
-    dict-walk.
+    Indistinguishable from a replayed ``STLocalTermTracker`` — same
+    sequences, archives, model totals and histories — but it keeps the
+    per-stream state as dense arrays: one burstiness matrix (rows =
+    every stream observed so far, in sorted-by-``repr`` order; columns =
+    timestamps from the first observation to the clock) and one model
+    total per row.  :meth:`advance` extends both with the sweep's
+    vectorised phases, :meth:`bursty_members` sums matrix slices, and
+    :meth:`fork` shares the arrays: an advance replaces them and never
+    writes into them (they are read-only), so no copy is needed.
+
+    The ``_models`` and ``_history`` maps of the object tracker are
+    derived from the arrays on demand (for the store codec and the
+    differential tests).  Only the paper-default running mean is
+    representable (see :func:`columnar_supported`): every model has
+    seen one observation per snapshot since timestamp 0, so its count
+    is the clock and only its total is state.
+
+    Args:
+        store: The location columns (and spatial index) of the stream
+            set, shared by every tracker of one miner or feeder.
+        config: STLocal settings (must pass :func:`columnar_supported`).
     """
 
-    _burst_rows: Optional[List[List[float]]] = None
-    _burst_row_of: Dict[Hashable, int] = {}
-    _burst_first: int = 0
-    _burst_totals: Optional[Dict[Tuple[int, int, int], bool]] = None
+    def __init__(self, store: LocationStore, config: STLocalConfig) -> None:
+        self._store = store
+        super().__init__(
+            store.locations, config=config, index=store.index,
+            copy_locations=False,
+        )
 
-    def process(self, frequencies: Dict[Hashable, float]) -> int:
-        self._burst_rows = None
-        return super().process(frequencies)
+    def _init_stream_state(self) -> None:
+        #: Streams with a model, sorted by repr (the point order).
+        self._row_ids: List[Hashable] = []
+        self._row_of: Dict[Hashable, int] = {}
+        #: Model total of each row.
+        self._totals: np.ndarray = _frozen(np.zeros(0))
+        #: Timestamp of matrix column 0 (the first observation).
+        self._first = 0
+        #: Burstiness, rows × (clock − first); no columns when history
+        #: tracking is off.
+        self._matrix: np.ndarray = _frozen(np.zeros((0, 0)))
 
-    def bursty_members(self, streams, timeframe):
-        rows = self._burst_rows
-        if rows is None or not self.config.track_history:
-            return super().bursty_members(streams, timeframe)
-        first = self._burst_first
-        row_of = self._burst_row_of
-        span = len(rows[0]) if rows else 0
-        lo = timeframe.start - first
-        hi = timeframe.end - first + 1
-        if lo < 0:
-            lo = 0
-        if hi > span:
-            hi = span
-        if lo >= hi:
-            return frozenset()
-        cache = self._burst_totals
-        if cache is None:
-            cache = self._burst_totals = {}
+    def _fork_stream_state(self) -> None:
+        """Nothing to copy: an advance replaces the arrays, never writes
+        into them."""
+
+    @property
+    def pristine(self) -> bool:
+        return not self._row_ids and not self._sequences
+
+    @property
+    def _models(self) -> Dict[Hashable, RunningMeanBaseline]:
+        """The object tracker's model map, rebuilt from the totals."""
+        models: Dict[Hashable, RunningMeanBaseline] = {}
+        for sid, total in zip(self._row_ids, self._totals.tolist()):
+            model = RunningMeanBaseline()
+            model._count = self._clock
+            model._total = total
+            models[sid] = model
+        return models
+
+    @property
+    def _history(self) -> Dict[Hashable, Dict[int, float]]:
+        """The object tracker's history map: each row's non-zero cells."""
+        history: Dict[Hashable, Dict[int, float]] = {}
+        if not self.config.track_history:
+            return history
+        matrix = self._matrix
+        nz_rows, nz_cols = np.nonzero(matrix)
+        values = matrix[nz_rows, nz_cols].tolist()
+        timestamps = (self._first + nz_cols).tolist()
+        # np.nonzero is row-major, so each row's entries are contiguous
+        # and ascending — one dict(zip(…)) per stream.
+        counts = np.bincount(nz_rows, minlength=len(self._row_ids)).tolist()
+        position = 0
+        for row, count in enumerate(counts):
+            if count:
+                history[self._row_ids[row]] = dict(
+                    zip(
+                        timestamps[position : position + count],
+                        values[position : position + count],
+                    )
+                )
+                position += count
+        return history
+
+    def advance(
+        self, snapshots: Mapping[int, Mapping[Hashable, float]], through: int
+    ) -> None:
+        """Feed every snapshot in ``[clock, through)`` in one sweep."""
+        _advance([(self, snapshots, through)])
+
+    def process(self, frequencies: Mapping[Hashable, float]) -> int:
+        """Consume the next snapshot: an advance over one timestamp."""
+        timestamp = self._clock
+        self.advance({timestamp: frequencies}, timestamp + 1)
+        return self.rectangle_history[-1]
+
+    def bursty_members(
+        self, streams: FrozenSet[Hashable], timeframe: Interval
+    ) -> Optional[FrozenSet[Hashable]]:
+        """Member streams with positive net burstiness over a window:
+        one cumsum along the window's matrix slice."""
+        if not self.config.track_history:
+            return None
+        matrix = self._matrix
+        lo = max(timeframe.start - self._first, 0)
+        hi = min(timeframe.end - self._first + 1, matrix.shape[1])
+        # Built with add() in ``streams`` order, like the object
+        # tracker's set, so the frozenset iterates identically.
         bursty = set()
-        for sid in streams:
-            row = row_of.get(sid)
-            if row is None:
-                continue
-            key = (row, lo, hi)
-            positive = cache.get(key)
-            if positive is None:
-                # Sequential sum over the frame slice: the same
-                # non-zero values the history dict holds, in the same
-                # ascending order, with inert zeros in between —
-                # byte-identical.  Patterns of one term share frames
-                # and member streams heavily, hence the memo.
-                positive = sequential_sum(rows[row][lo:hi]) > 0.0
-                cache[key] = positive
-            if positive:
-                bursty.add(sid)
+        row_of = self._row_of
+        members = [sid for sid in streams if sid in row_of]
+        if lo < hi and members:
+            # cumsum adds left to right — the history walk's order, with
+            # inert zeros in between — so the totals are byte-identical.
+            totals = np.cumsum(
+                matrix[[row_of[sid] for sid in members], lo:hi], axis=1
+            )[:, -1]
+            for sid, positive in zip(members, (totals > 0.0).tolist()):
+                if positive:
+                    bursty.add(sid)
         return frozenset(bursty)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark an array read-only (forks share it)."""
+    array.flags.writeable = False
+    return array
 
 
 class _TermPlan:
     """Per-term intermediate state between the prepare and finish phases."""
 
     __slots__ = (
-        "snapshots",
+        "tracker",
         "first",
         "end",
         "row_ids",
@@ -311,49 +402,84 @@ class _TermPlan:
 
 
 def _prepare_term(
-    snapshots: Dict[int, Dict[Hashable, float]],
-    store: LocationStore,
-    config: STLocalConfig,
-    timeline: int,
-    truncate_tails: bool,
-) -> _TermPlan:
-    """Phase 1: burstiness matrix, coordinate compression, batch mask."""
-    plan = _TermPlan()
-    plan.snapshots = snapshots
-    first = min(snapshots)
-    last = max(snapshots)
-    plan.first = first
-    plan.end = last if truncate_tails else timeline - 1
-    span = plan.end - first + 1
+    tracker: ColumnarTermTracker,
+    snapshots: TermSnapshots,
+    through: int,
+) -> Optional[_TermPlan]:
+    """Phase 1: burstiness matrix, coordinate compression, batch mask.
 
-    # Rows: every stream the term ever touches, in the same
-    # sorted-by-repr order the tracker evaluates active streams in.
-    seen: Dict[Hashable, None] = {}
-    for slice_ in snapshots.values():
-        for sid in slice_:
-            if sid not in store.coords:
-                raise StreamError(f"unknown stream {sid!r} in snapshot")
-            seen.setdefault(sid, None)
-    row_ids = sorted(seen, key=repr)
-    plan.row_ids = row_ids
-    plan.row_of = {sid: row for row, sid in enumerate(row_ids)}
-    n_rows = len(row_ids)
-
-    counts = np.zeros((n_rows, span), dtype=float)
+    Covers the tracker's snapshots ``[clock, through)``.  A pristine
+    tracker is first fast-forwarded to its first observation; ``None``
+    means nothing is left to sweep (the tracker may have been
+    fast-forwarded to ``through``).
+    """
+    store = tracker._store
+    start = tracker.clock
+    if start >= through:
+        return None
+    old_ids = tracker._row_ids
+    # Every stream the window touches, after the rows already held.
+    seen: Dict[Hashable, int] = {sid: i for i, sid in enumerate(old_ids)}
+    window: List[Tuple[int, Mapping[Hashable, float]]] = []
     for timestamp, slice_ in snapshots.items():
-        column = timestamp - first
+        if start <= timestamp < through and slice_:
+            window.append((timestamp, slice_))
+            for sid in slice_:
+                if sid not in seen:
+                    if sid not in store.coords:
+                        raise StreamError(f"unknown stream {sid!r} in snapshot")
+                    seen[sid] = len(seen)
+    counts = np.zeros((len(seen), through - start))
+    for timestamp, slice_ in window:
+        column = timestamp - start
         for sid, value in slice_.items():
-            counts[plan.row_of[sid], column] = float(value)
+            counts[seen[sid], column] = float(value)
+
+    # A stream gets a model (a row) at its first positive observation;
+    # the rows already held stay active throughout.
+    positive = counts > 0.0
+    n_old = len(old_ids)
+    active = positive.any(axis=1)
+    active[:n_old] = True
+    if not active.any():
+        tracker.fast_forward(through)
+        return None
+    first = start
+    if not n_old:
+        # Pristine: the quiet prefix is a strict no-op, skip it.
+        offset = int(np.argmax(positive.any(axis=0)))
+        first = start + offset
+        tracker.fast_forward(first)
+        counts = counts[:, offset:]
+        positive = positive[:, offset:]
+
+    plan = _TermPlan()
+    plan.tracker = tracker
+    plan.first = first
+    plan.end = through - 1
+    # Rows in the sorted-by-repr order the tracker evaluates streams in.
+    row_ids = sorted(
+        (sid for sid, keep in zip(seen, active.tolist()) if keep), key=repr
+    )
+    plan.row_ids = row_ids
+    plan.row_of = row_of = {sid: row for row, sid in enumerate(row_ids)}
+    n_rows = len(row_ids)
+    order = [seen[sid] for sid in row_ids]
+    counts = counts[order]
+    carried = np.zeros(n_rows)
+    old_rows = [row_of[sid] for sid in old_ids]
+    carried[old_rows] = tracker._totals
 
     plan.burstiness, plan.totals = kernels.running_mean_burstiness(
-        counts, first, config.warmup
+        counts, first, tracker.config.warmup, carried
     )
     plan.columns = plan.burstiness.T.tolist()
     # Global timestamp of each row's first observation (model creation):
     # from then on the stream is an active point of every snapshot.
-    plan.first_active = (
-        first + np.argmax(counts > 0.0, axis=1)
-    ).tolist()
+    first_active = (first + np.argmax(positive[order], axis=1)).tolist()
+    for row in old_rows:
+        first_active[row] = first
+    plan.first_active = first_active
     coords = store.coords
     plan.row_x = [coords[sid][0] for sid in row_ids]
     plan.row_y = [coords[sid][1] for sid in row_ids]
@@ -643,35 +769,76 @@ def _decode_batch(
 
 
 def _finish_term(
-    plan: _TermPlan,
-    store: LocationStore,
-    config: STLocalConfig,
-    rectangle_map: Dict[int, List[Bounds]],
-) -> STLocalTermTracker:
-    """Phase 3: region lifecycles and histories off the matrices."""
-    tracker = ColumnarTermTracker(
-        store.locations, config=config, index=store.index, copy_locations=False
-    )
+    plan: _TermPlan, rectangle_map: Dict[int, List[Bounds]]
+) -> None:
+    """Phase 3: region lifecycles and histories off the matrices.
+
+    Extends the plan's tracker exactly as one ``process`` call per
+    snapshot would: the same region keys, r-scores, pruning snapshots,
+    archive order and sequence-map order.
+    """
+    tracker = plan.tracker
+    store = tracker._store
     first, end = plan.first, plan.end
     row_of = plan.row_of
-    n_rows = len(plan.row_ids)
-
-    tracker.fast_forward(first)
     rectangle_history = tracker.rectangle_history
-    key_by_geometry = config.key_by_geometry
+    key_by_geometry = tracker.config.key_by_geometry
 
     span = end - first + 1
     burstiness = plan.burstiness
-    regions: List[Tuple[Hashable, _Region]] = []
+    #: members → r-score series of that member set over the span.  The
+    #: per-snapshot value is start-independent (the same sequential
+    #: member-row additions), so recurring rectangles share one series.
+    series_cache: Dict[FrozenSet[Hashable], List[float]] = {}
+
+    def series_of(members: FrozenSet[Hashable]) -> List[float]:
+        series = series_cache.get(members)
+        if series is None:
+            # Rows are in sorted-by-repr order, so ascending rows are
+            # the region's member order.
+            rows = sorted(row_of[sid] for sid in members if sid in row_of)
+            if rows:
+                # cumsum down the rows adds them one at a time, in
+                # member order: ``sequential_sum`` per column.  Its
+                # first row is not added to 0.0, and ``+ 0.0`` is that
+                # missing addition (it only turns -0.0 into 0.0).
+                totals = np.cumsum(burstiness[rows], axis=0)[-1] + 0.0
+                series = totals.tolist()
+            else:
+                series = [0.0] * span
+            series_cache[members] = series
+        return series
+
+    def prune_column(series: List[float], local: int, total: float) -> int:
+        """The column whose r-score drives the running total negative.
+
+        The same sequential running total the per-snapshot loop
+        accumulates, from ``total`` at column ``local`` (Algorithm 2,
+        lines 11-12); ``span`` when it stays non-negative.
+        """
+        for column_index in range(local, span):
+            total += series[column_index]
+            if total < 0.0:
+                return column_index
+        return span
+
+    #: Every region alive during the span, in sequence-map order: the
+    #: open sequences carried over, then the ones created here.
+    regions: List[Tuple[Hashable, int, Union[RegionSequence, _Region]]] = []
     #: key → prune timestamp of its latest region; a same-key rectangle
     #: is ignored while ``timestamp <= blocked_until`` (the region is
     #: still in the sequence map during its pruning snapshot).
     blocked_until: Dict[Hashable, int] = {}
-    #: members → full-span r-score series of that member set.  The
-    #: per-snapshot value is start-independent (the same sequential
-    #: member-row additions), so recurring rectangles share one series.
-    series_cache: Dict[FrozenSet[Hashable], List[float]] = {}
     open_deltas = [0] * (span + 1)
+    for key, sequence in tracker._sequences.items():
+        series = series_of(sequence.stream_ids)
+        column = prune_column(series, 0, sequence.total)
+        sequence.tracker.extend(series[: column + 1])
+        prune_timestamp = first + column
+        regions.append((key, prune_timestamp, sequence))
+        blocked_until[key] = prune_timestamp
+        if prune_timestamp <= end:
+            open_deltas[prune_timestamp - first] -= 1
 
     empty: List[Bounds] = []
     for timestamp in range(first, end + 1):
@@ -692,102 +859,97 @@ def _finish_term(
                 key = members
             if timestamp <= blocked_until.get(key, -1):
                 continue
-            series = series_cache.get(members)
-            if series is None:
-                member_rows = [
-                    row_of[sid]
-                    for sid in sorted(members, key=repr)
-                    if sid in row_of
-                ]
-                accumulated = np.zeros(span)
-                for row in member_rows:
-                    accumulated += burstiness[row]
-                series = accumulated.tolist()
-                series_cache[members] = series
-            # Scalar lifecycle scan: the same sequential running total
-            # the per-snapshot loop would accumulate, stopped at the
-            # pruning snapshot (Algorithm 2, lines 11-12).
-            total = 0.0
-            prune_timestamp = end + 1
-            prune_bound = span
-            for column_index in range(local, span):
-                total += series[column_index]
-                if total < 0.0:
-                    prune_timestamp = first + column_index
-                    prune_bound = column_index + 1
-                    break
-            values = series[local:prune_bound]
+            series = series_of(members)
+            column = prune_column(series, local, 0.0)
+            prune_timestamp = first + column
             region = _Region(
                 region=Rectangle(min_x, min_y, max_x, max_y),
-                members=members,
+                stream_ids=members,
                 start=timestamp,
-                values=values,
-                prune_timestamp=prune_timestamp,
+                values=series[local : column + 1],
             )
-            regions.append((key, region))
+            regions.append((key, prune_timestamp, region))
             blocked_until[key] = prune_timestamp
             open_deltas[local] += 1
             if prune_timestamp <= end:
                 open_deltas[prune_timestamp - first] -= 1
 
-    running_open = 0
+    running_open = len(tracker._sequences)
     open_history = tracker.open_history
     for local in range(span):
         running_open += open_deltas[local]
         open_history.append(running_open)
 
-    # Archive pruned regions in the legacy order: by pruning snapshot,
-    # then by position in the sequence map (creation order).
+    # Archive pruned regions in the per-snapshot order: by pruning
+    # snapshot, then by position in the sequence map.
     archived = tracker._archived
-    pruned = [
-        (region.prune_timestamp, index, key, region)
-        for index, (key, region) in enumerate(regions)
-        if region.prune_timestamp <= end
+    pruned_regions = [
+        (prune_timestamp, index, region)
+        for index, (_, prune_timestamp, region) in enumerate(regions)
+        if prune_timestamp <= end
     ]
-    pruned.sort(key=lambda item: (item[0], item[1]))
-    for _, _, _, region in pruned:
+    pruned_regions.sort(key=lambda item: (item[0], item[1]))
+    for _, _, region in pruned_regions:
         for timeframe, score in region.windows():
-            archived.append((region.region, region.members, timeframe, score))
+            archived.append(
+                (region.region, region.stream_ids, timeframe, score)
+            )
 
     tracker._clock = end + 1
     tracker._sequences = {
-        key: region.to_sequence()
-        for key, region in regions
-        if region.prune_timestamp > end
+        key: region.to_sequence() if isinstance(region, _Region) else region
+        for key, prune_timestamp, region in regions
+        if prune_timestamp > end
     }
 
-    # Reconstruct the per-stream expectation models so the tracker can
-    # keep processing (or fork) exactly as a replayed one would.
-    first_active = plan.first_active
-    for row, sid in enumerate(plan.row_ids):
-        model = config.baseline_factory()
-        model.prime_zeros(first_active[row])
-        model._count += (end + 1) - first_active[row]
-        model._total = float(plan.totals[row])
-        tracker._models[sid] = model
+    old_ids = tracker._row_ids
+    if tracker.config.track_history:
+        if not old_ids:
+            tracker._first = first
+            matrix = burstiness
+        else:
+            old = tracker._matrix
+            matrix = np.zeros((len(plan.row_ids), old.shape[1] + span))
+            matrix[[row_of[sid] for sid in old_ids], : old.shape[1]] = old
+            matrix[:, old.shape[1] :] = burstiness
+        tracker._matrix = _frozen(matrix)
+    tracker._row_ids = plan.row_ids
+    tracker._row_of = row_of
+    tracker._totals = _frozen(plan.totals)
 
-    if config.track_history:
-        history = tracker._history
-        nz_rows, nz_cols = np.nonzero(plan.burstiness)
-        values = plan.burstiness[nz_rows, nz_cols].tolist()
-        timestamps = (first + nz_cols).tolist()
-        # np.nonzero is row-major, so each row's entries are contiguous
-        # and ascending — one dict(zip(…)) per stream.
-        counts_per_row = np.bincount(nz_rows, minlength=n_rows).tolist()
-        position = 0
-        for row, count in enumerate(counts_per_row):
-            if count:
-                history[plan.row_ids[row]] = dict(
-                    zip(
-                        timestamps[position : position + count],
-                        values[position : position + count],
-                    )
-                )
-                position += count
-        tracker._burst_rows = plan.burstiness.tolist()
-        tracker._burst_row_of = plan.row_of
-        tracker._burst_first = first
-    return tracker
+
+def _advance(
+    jobs: Sequence[Tuple[ColumnarTermTracker, TermSnapshots, int]],
+) -> None:
+    """Extend many columnar trackers, each through its own horizon.
+
+    Per-term matrices are prepared first, every batchable snapshot
+    across *all* terms shares one padded-tensor Kadane, and the scalar
+    finish runs per term.  Each tracker ends byte-equivalent to feeding
+    the same snapshots through
+    :meth:`~repro.core.stlocal.STLocalTermTracker.process` one
+    timestamp at a time.
+    """
+    plans = []
+    for tracker, snapshots, through in jobs:
+        plan = _prepare_term(tracker, snapshots, through)
+        if plan is not None:
+            plans.append(plan)
+    if not plans:
+        return
+    batch: Optional[Tuple[np.ndarray, ...]] = None
+    sizes = [
+        (len(segment.cys), len(segment.cxs))
+        for plan in plans
+        for segment in plan.segments
+    ]
+    m_pad = max(m for m, _ in sizes)
+    k_pad = max(k for _, k in sizes)
+    grids = _scatter_grids(plans, m_pad, k_pad)
+    if len(grids):
+        batch = kernels.batched_first_rectangles(grids)
+    for plan, rectangle_map in zip(plans, _resolve_rectangles(plans, batch)):
+        _finish_term(plan, rectangle_map)
 
 
 def sweep_terms(
@@ -796,80 +958,23 @@ def sweep_terms(
     config: STLocalConfig,
     timeline: int,
     truncate_tails: bool = True,
-) -> Dict[str, STLocalTermTracker]:
+) -> Dict[str, ColumnarTermTracker]:
     """Mine many terms' regional state off their sparse snapshot slices.
 
-    The multi-term driver: per-term matrices are prepared first, every
-    batchable snapshot across *all* terms shares one padded-tensor
-    Kadane, and the scalar finish runs per term.  Each returned tracker
-    is byte-equivalent to feeding the same snapshots through
+    The multi-term driver: one :class:`ColumnarTermTracker` per term,
+    all advanced by one sweep (see :func:`_advance`).  A term with no
+    snapshots keeps a pristine tracker at clock 0.  Each returned
+    tracker is byte-equivalent to feeding the same snapshots through
     :meth:`~repro.core.stlocal.STLocalTermTracker.process` one
     timestamp at a time.
     """
-    trackers: Dict[str, STLocalTermTracker] = {}
-    plans: List[Tuple[str, _TermPlan]] = []
+    trackers: Dict[str, ColumnarTermTracker] = {}
+    jobs = []
     for term, snapshots in term_snapshots.items():
+        tracker = trackers[term] = ColumnarTermTracker(store, config)
         if snapshots:
-            plans.append(
-                (
-                    term,
-                    _prepare_term(
-                        snapshots, store, config, timeline, truncate_tails
-                    ),
-                )
-            )
-        else:
-            trackers[term] = STLocalTermTracker(
-                store.locations,
-                config=config,
-                index=store.index,
-                copy_locations=False,
-            )
-
-    batch: Optional[Tuple[np.ndarray, ...]] = None
-    if plans:
-        sizes = [
-            (len(segment.cys), len(segment.cxs))
-            for _, plan in plans
-            for segment in plan.segments
-        ]
-        m_pad = max(m for m, _ in sizes)
-        k_pad = max(k for _, k in sizes)
-        grids = _scatter_grids([plan for _, plan in plans], m_pad, k_pad)
-        if len(grids):
-            batch = kernels.batched_first_rectangles(grids)
-
-    rectangle_maps = _resolve_rectangles([plan for _, plan in plans], batch)
-    for (term, plan), rectangle_map in zip(plans, rectangle_maps):
-        trackers[term] = _finish_term(plan, store, config, rectangle_map)
+            through = max(snapshots) + 1 if truncate_tails else timeline
+            jobs.append((tracker, snapshots, through))
+    _advance(jobs)
     return trackers
 
-
-def sweep_term(
-    snapshots: Dict[int, Dict[Hashable, float]],
-    store: LocationStore,
-    config: STLocalConfig,
-    timeline: int,
-    truncate_tails: bool = True,
-) -> STLocalTermTracker:
-    """Mine one term's regional state from its sparse snapshot slices.
-
-    Single-term convenience wrapper over the :func:`sweep_terms`
-    driver.
-
-    Args:
-        snapshots: The term's non-empty per-timestamp slices (the
-            :meth:`~repro.streams.FrequencyTensor.term_snapshots` shape).
-        store: Shared location columns for this mine call.
-        config: STLocal settings (must pass :func:`columnar_supported`).
-        timeline: Collection timeline length.
-        truncate_tails: Stop after the term's last active snapshot (the
-            batch pipeline's tail truncation).
-
-    Returns:
-        A tracker byte-equivalent to feeding the same snapshots through
-        :meth:`STLocalTermTracker.process` one timestamp at a time.
-    """
-    return sweep_terms(
-        {"": snapshots}, store, config, timeline, truncate_tails
-    )[""]

@@ -33,6 +33,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -62,15 +63,17 @@ def _sum_left_to_right(values: Iterable[float]) -> float:
     return total
 
 
-#: Left-to-right float sum, rounding after every addition.  The columnar
-#: sweep (:mod:`repro.columnar.sweep`) accumulates member rows in exactly
-#: this order, so every r-score and history total the trackers compare
-#: goes through here.  Builtin ``sum`` of floats is compensated
-#: (Neumaier) from CPython 3.12 on: ``sum([1e16, 1.0, -1e16])`` is
-#: ``1.0`` there and ``0.0`` here, which would let a replayed tracker and
-#: a sweep-built one disagree in the last bits.  Up to 3.11 the builtin
-#: computes exactly this sum, in C — batch mining calls it for every
-#: (bursty member, window) pair, so it keeps the builtin there.
+#: Left-to-right float sum, rounding after every addition: the r-score
+#: :meth:`STLocalTermTracker.process` appends to each tracked region.
+#: The columnar tracker (:mod:`repro.columnar.sweep`) computes the same
+#: sums without it — r-scores by adding member rows of its burstiness
+#: matrix one at a time, window totals in ``bursty_members`` by one
+#: ``np.cumsum`` along the window — and both add in exactly this order,
+#: so a replayed tracker and a sweep-built one agree bit for bit.
+#: Builtin ``sum`` of floats is compensated (Neumaier) from CPython 3.12
+#: on: ``sum([1e16, 1.0, -1e16])`` is ``1.0`` there and ``0.0`` here.  Up
+#: to 3.11 the builtin computes exactly this sum, in C, so it keeps the
+#: builtin there.
 sequential_sum: Callable[[Iterable[float]], float] = (
     sum if sys.version_info < (3, 12) else _sum_left_to_right
 )
@@ -160,13 +163,23 @@ class STLocalTermTracker:
             self._index = IntervalSpatialIndex(
                 [(sid, point) for sid, point in self.locations.items()]
             )
-        self._models: Dict[Hashable, ExpectedFrequencyModel] = {}
         self._sequences: Dict[Hashable, RegionSequence] = {}
         self._archived: List[Tuple[Rectangle, FrozenSet[Hashable], Interval, float]] = []
         self._clock = 0
-        self._history: Dict[Hashable, Dict[int, float]] = {}
         self.rectangle_history: List[int] = []
         self.open_history: List[int] = []
+        self._init_stream_state()
+
+    def _init_stream_state(self) -> None:
+        """Per-stream state: expectation models and burstiness history.
+
+        One model per stream observed so far, and that stream's non-zero
+        burstiness values by timestamp.  The columnar tracker
+        (:class:`repro.columnar.sweep.ColumnarTermTracker`) keeps the
+        same state as dense arrays instead and derives both maps.
+        """
+        self._models: Dict[Hashable, ExpectedFrequencyModel] = {}
+        self._history: Dict[Hashable, Dict[int, float]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -194,7 +207,7 @@ class STLocalTermTracker:
         """Checkpoint the tracker: an independent, advanceable copy.
 
         The fork shares the immutable inputs (locations, config, spatial
-        index) but owns deep copies of all mutable state — expectation
+        index) but owns copies of all mutable state — expectation
         models, open region sequences, archives and histories — so it
         can be fed further snapshots (or discarded) without disturbing
         this tracker.  The live serving layer uses this to preview
@@ -203,24 +216,22 @@ class STLocalTermTracker:
         differential tests use it to verify a replayed fork matches a
         cold batch run.
         """
-        clone = STLocalTermTracker(
-            self.locations,
-            config=self.config,
-            index=self._index,
-            copy_locations=False,
-        )
-        clone._models = copy.deepcopy(self._models)
+        clone = copy.copy(self)
         clone._sequences = {
             key: sequence.fork() for key, sequence in self._sequences.items()
         }
         clone._archived = list(self._archived)
-        clone._clock = self._clock
-        clone._history = {
-            sid: dict(values) for sid, values in self._history.items()
-        }
         clone.rectangle_history = list(self.rectangle_history)
         clone.open_history = list(self.open_history)
+        clone._fork_stream_state()
         return clone
+
+    def _fork_stream_state(self) -> None:
+        """Replace the per-stream state a shallow copy shares with copies."""
+        self._models = copy.deepcopy(self._models)
+        self._history = {
+            sid: dict(values) for sid, values in self._history.items()
+        }
 
     # ------------------------------------------------------------------
     def fast_forward(self, timestamp: int) -> None:
@@ -243,7 +254,7 @@ class STLocalTermTracker:
             raise StreamError(
                 f"cannot fast-forward backwards ({timestamp} < {self._clock})"
             )
-        if self._models or self._sequences:
+        if not self.pristine:
             raise StreamError(
                 "fast_forward is only valid before the first observation"
             )
@@ -252,7 +263,34 @@ class STLocalTermTracker:
         self.open_history.extend([0] * skipped)
         self._clock = timestamp
 
-    def process(self, frequencies: Dict[Hashable, float]) -> int:
+    def advance(
+        self, snapshots: Mapping[int, Mapping[Hashable, float]], through: int
+    ) -> None:
+        """Feed every snapshot in ``[clock, through)``.
+
+        A pristine tracker first skips its quiet prefix with
+        :meth:`fast_forward`, as the batch pipeline does; every later
+        snapshot goes through :meth:`process`.
+
+        Args:
+            snapshots: The term's sparse per-timestamp slices (absent
+                timestamps are empty snapshots).
+            through: Advance the clock to this timestamp (exclusive); a
+                clock already there is left alone.
+        """
+        if self._clock >= through:
+            return
+        if self.pristine:
+            active = [
+                timestamp
+                for timestamp, slice_ in snapshots.items()
+                if self._clock <= timestamp < through and slice_
+            ]
+            self.fast_forward(min(active) if active else through)
+        for timestamp in range(self._clock, through):
+            self.process(snapshots.get(timestamp, {}))
+
+    def process(self, frequencies: Mapping[Hashable, float]) -> int:
         """Consume the next snapshot.
 
         Args:
@@ -330,7 +368,7 @@ class STLocalTermTracker:
 
     # ------------------------------------------------------------------
     def _update_burstiness(
-        self, timestamp: int, frequencies: Dict[Hashable, float]
+        self, timestamp: int, frequencies: Mapping[Hashable, float]
     ) -> Dict[Hashable, float]:
         """Eq. 7 for every stream with history or a current observation."""
         for sid in frequencies:

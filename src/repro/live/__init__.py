@@ -14,8 +14,8 @@ is the online counterpart:
   containing the term arrives, a bounded LRU result cache keyed on the
   epoch, and lazily re-mined STLocal patterns: the batch sweep builds
   a term's tracker on first touch and
-  :class:`~repro.pipeline.IncrementalFeeder` advances it snapshot by
-  snapshot from then on.
+  :class:`~repro.pipeline.IncrementalFeeder` extends it with the same
+  sweep as snapshots seal.
 
 The correctness contract — live state is byte-identical to a cold
 batch rebuild after any ingestion schedule — is enforced by the

@@ -7,9 +7,9 @@ STComb and STLocal alike.  :meth:`repro.core.STLocal.mine` and
 :meth:`repro.core.STComb.mine` delegate here.
 
 :class:`IncrementalFeeder` is the live counterpart: per-term durable
-trackers built by the columnar sweep on first touch and advanced
-snapshot-by-snapshot as documents arrive, with fork-based previews
-over still-open snapshots (see :mod:`repro.live`).
+trackers built by the columnar sweep on first touch and extended by
+the same sweep as snapshots seal, with fork-based previews over
+still-open snapshots (see :mod:`repro.live`).
 """
 
 from repro.pipeline.batch import BatchMiner

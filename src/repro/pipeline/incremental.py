@@ -1,28 +1,31 @@
 """Incremental snapshot feed for live STLocal mining.
 
-The batch pipeline (:mod:`repro.pipeline.batch`) replays a *finished*
+The batch pipeline (:mod:`repro.pipeline.batch`) mines a *finished*
 timeline; the live serving layer (:mod:`repro.live`) instead receives
 documents continuously and must keep per-term trackers current without
 rescanning history.  This module provides that feed path:
 
-* one durable :class:`~repro.core.stlocal.STLocalTermTracker` per term,
-  advanced through the *sealed* prefix of the timeline (timestamps no
-  future document can touch);
-* a term's first advance — its tracker is still pristine — runs the
-  batch miner's columnar sweep (:func:`repro.columnar.sweep.sweep_term`)
-  over the term's sealed slices, the same kernel and the same shared
-  :class:`~repro.columnar.sweep.LocationStore` for every term, so a
-  term first touched hundreds of snapshots in costs one vectorised
-  pass instead of one ``process`` call per snapshot.  Later advances
-  cover only the few snapshots sealed since and replay them with
-  ``process``; a custom ``baseline_factory`` (which the sweep does not
-  reproduce) always replays, skipping the quiet prefix with
-  :meth:`~repro.core.stlocal.STLocalTermTracker.fast_forward`;
-* :meth:`IncrementalFeeder.preview` — a fork of the durable tracker fed
-  through the still-open snapshots, so queries see patterns that
-  include the freshest data while the durable tracker stays rewindable
-  at its sealed checkpoint (open snapshots can still gain documents,
-  and a tracker cannot reprocess a snapshot).
+* one durable tracker per term, advanced through the *sealed* prefix of
+  the timeline (timestamps no future document can touch).  With the
+  paper-default baseline it is a
+  :class:`~repro.columnar.sweep.ColumnarTermTracker`: the term's first
+  advance runs the batch miner's columnar sweep over its sealed slices
+  (skipping the quiet prefix), and every later advance extends the
+  same arrays over the snapshots sealed since with the same sweep
+  phases — one vectorised pass per advance, never one ``process`` call
+  per snapshot.  Every tracker shares the feeder's one
+  :class:`~repro.columnar.sweep.LocationStore`.  A custom
+  ``baseline_factory`` (which the columnar tracker does not represent)
+  keeps the object tracker, which replays each snapshot with
+  ``process`` after a :meth:`~repro.core.stlocal.STLocalTermTracker.
+  fast_forward` over the quiet prefix;
+* :meth:`IncrementalFeeder.preview` — a fork of the durable tracker
+  advanced through the still-open snapshots, so queries see patterns
+  that include the freshest data while the durable tracker stays
+  rewindable at its sealed checkpoint (open snapshots can still gain
+  documents, and a tracker cannot reprocess a snapshot).  A columnar
+  fork shares the durable tracker's arrays; the preview's advance
+  builds its own.
 
 Because a pristine tracker is rebuilt from the term's slices alone, the
 durable trackers are derived state: a live checkpoint does not persist
@@ -34,9 +37,14 @@ rebuild of the same collection — the differential tests
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional
+from typing import Dict, Hashable, List, Optional
 
-from repro.columnar.sweep import LocationStore, columnar_supported, sweep_term
+from repro.columnar.sweep import (
+    ColumnarTermTracker,
+    LocationStore,
+    TermSnapshots,
+    columnar_supported,
+)
 from repro.core.config import STLocalConfig
 from repro.core.patterns import RegionalPattern
 from repro.core.stlocal import STLocalTermTracker
@@ -45,13 +53,9 @@ from repro.spatial.geometry import Point
 
 __all__ = ["IncrementalFeeder"]
 
-#: term → timestamp → stream → frequency (the live tensor slice shape).
-TermSnapshots = Mapping[int, Mapping[Hashable, float]]
-
 
 class IncrementalFeeder:
-    """Per-term durable trackers: swept on first touch, then advanced
-    snapshot-by-snapshot.
+    """Per-term durable trackers, advanced as snapshots seal.
 
     Args:
         locations: Geostamp of every stream; fixed for the feeder's
@@ -69,7 +73,7 @@ class IncrementalFeeder:
         self._store = LocationStore(locations)
         self.locations = self._store.locations
         self.config = config if config is not None else STLocalConfig()
-        self._sweep = columnar_supported(self.config)
+        self._columnar = columnar_supported(self.config)
         self._trackers: Dict[str, STLocalTermTracker] = {}
 
     # ------------------------------------------------------------------
@@ -77,12 +81,15 @@ class IncrementalFeeder:
         """The durable tracker of a term (created pristine on demand)."""
         tracker = self._trackers.get(term)
         if tracker is None:
-            tracker = STLocalTermTracker(
-                self.locations,
-                config=self.config,
-                index=self._store.index,
-                copy_locations=False,
-            )
+            if self._columnar:
+                tracker = ColumnarTermTracker(self._store, self.config)
+            else:
+                tracker = STLocalTermTracker(
+                    self.locations,
+                    config=self.config,
+                    index=self._store.index,
+                    copy_locations=False,
+                )
             self._trackers[term] = tracker
         return tracker
 
@@ -98,9 +105,7 @@ class IncrementalFeeder:
 
         Only *sealed* timestamps belong here: once processed, a snapshot
         cannot be amended.  ``through`` therefore must not exceed the
-        caller's sealed watermark.  A pristine tracker with activity
-        before ``through`` is replaced by a sweep-built one (see the
-        module docstring); any other advance replays the new snapshots.
+        caller's sealed watermark.
 
         Args:
             term: The term being advanced.
@@ -110,26 +115,9 @@ class IncrementalFeeder:
 
         Returns:
             The durable tracker, at ``clock >= through``.
-
-        Raises:
-            StreamError: when ``through`` is behind the tracker's clock
-                by way of a snapshot map that rewrites history (the
-                tracker itself rejects backwards feeds).
         """
         tracker = self.tracker(term)
-        if self._sweep and tracker.pristine:
-            sealed = _active_slices(snapshots, tracker.clock, through)
-            if sealed:
-                tracker = sweep_term(
-                    sealed,
-                    self._store,
-                    self.config,
-                    timeline=through,
-                    truncate_tails=False,
-                )
-                self._trackers[term] = tracker
-                return tracker
-        self._feed(tracker, term, snapshots, through)
+        tracker.advance(snapshots, through)
         return tracker
 
     def preview(
@@ -142,7 +130,7 @@ class IncrementalFeeder:
         returned for pattern reads; the durable tracker is untouched.
         """
         fork = self.tracker(term).fork()
-        self._feed(fork, term, snapshots, through)
+        fork.advance(snapshots, through)
         return fork
 
     def mine_term(
@@ -166,33 +154,3 @@ class IncrementalFeeder:
         if through == sealed:
             return self.tracker(term).patterns(term)
         return self.preview(term, snapshots, through).patterns(term)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _feed(
-        tracker: STLocalTermTracker,
-        term: str,
-        snapshots: TermSnapshots,
-        through: int,
-    ) -> None:
-        if tracker.clock >= through:
-            return
-        if tracker.pristine:
-            # Quiet-prefix skip, exactly as the batch sweep does it: an
-            # empty snapshot before the first observation is a strict
-            # no-op, so jump straight to the first active timestamp.
-            active = _active_slices(snapshots, tracker.clock, through)
-            tracker.fast_forward(min(active) if active else through)
-        for timestamp in range(tracker.clock, through):
-            tracker.process(dict(snapshots.get(timestamp, {})))
-
-
-def _active_slices(
-    snapshots: TermSnapshots, start: int, through: int
-) -> Dict[int, Mapping[Hashable, float]]:
-    """The non-empty slices at timestamps in ``[start, through)``."""
-    return {
-        timestamp: slice_
-        for timestamp, slice_ in snapshots.items()
-        if start <= timestamp < through and slice_
-    }

@@ -15,6 +15,7 @@ the two paths equal at every layer the columnar kernel touches.
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from repro.columnar.kernels import (
     maximal_segment_state,
 )
 from repro.columnar.postings import PostingArray
-from repro.columnar.sweep import ColumnarTermTracker, LocationStore, sweep_term
+from repro.columnar.sweep import ColumnarTermTracker, LocationStore
 from repro.core.config import STLocalConfig
 from repro.core.stlocal import (
     STLocalTermTracker,
@@ -182,7 +183,7 @@ class TestMiningDifferential:
 
     def test_sweep_built_live_tracker_extends_like_a_replay(self):
         # The live feeder's durable tracker: swept over the sealed
-        # prefix on first touch, advanced with process() as snapshots
+        # prefix on first touch, advanced by later sweeps as snapshots
         # seal, then forked and previewed through the open tail.
         config = STLocalConfig(warmup=2)
         for seed in range(8):
@@ -228,16 +229,107 @@ class TestMiningDifferential:
         replay = STLocalTermTracker(locations, config)
         for timestamp in range(3):
             replay.process(dict(snapshots.get(timestamp, {})))
-        swept = sweep_term(
-            snapshots,
-            LocationStore(locations),
-            config,
-            timeline=3,
-            truncate_tails=False,
-        )
+        swept = ColumnarTermTracker(LocationStore(locations), config)
+        swept.advance(snapshots, 3)
         assert_trackers_equal(replay, swept)
         assert [window[2] for window in replay.windows()] == [Interval(0, 0)]
         assert replay.patterns("x") == swept.patterns("x")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_advanced_and_forked_tracker_matches_replay(self, data):
+        # A columnar tracker swept at one cut, then advanced in several
+        # sweeps and single process() calls — streams first seen after
+        # the sweep, cuts on either side of the warmup — and finally
+        # forked and previewed, against the object tracker replaying
+        # the same snapshots one process() call at a time.
+        config = STLocalConfig(
+            warmup=data.draw(st.integers(0, 4), label="warmup"),
+            key_by_geometry=data.draw(st.booleans(), label="geometry"),
+            track_history=data.draw(st.booleans(), label="history"),
+        )
+        timeline = data.draw(st.integers(2, 18), label="timeline")
+        # Streams on a 3x2 lattice sharing coordinates, each silent
+        # before its own first timestamp.  Explicit zero counts do not
+        # create a model (only a positive one does).
+        locations = {
+            f"s{i}": Point(float(i % 3), float(i // 3)) for i in range(6)
+        }
+        starts = data.draw(
+            st.lists(st.integers(0, timeline - 1), min_size=6, max_size=6),
+            label="starts",
+        )
+        snapshots = {}
+        for timestamp in range(timeline):
+            slice_ = {}
+            for i, start in enumerate(starts):
+                if timestamp >= start and data.draw(st.booleans()):
+                    slice_[f"s{i}"] = float(data.draw(st.integers(0, 6)))
+            if slice_:
+                snapshots[timestamp] = slice_
+        cuts = sorted(
+            data.draw(
+                st.lists(st.integers(0, timeline), min_size=1, max_size=4),
+                label="cuts",
+            )
+        )
+
+        replay = STLocalTermTracker(locations, config)
+        replay.advance(snapshots, cuts[0])
+        tracker = ColumnarTermTracker(LocationStore(locations), config)
+        tracker.advance(snapshots, cuts[0])
+        assert_trackers_equal(replay, tracker)
+        for cut in cuts[1:] + [timeline]:
+            if cut > tracker.clock and data.draw(st.booleans(), label="step"):
+                # One snapshot through process(), the rest by sweep.
+                slice_ = snapshots.get(tracker.clock, {})
+                assert tracker.process(slice_) == replay.process(slice_)
+            replay.advance(snapshots, cut)
+            tracker.advance(snapshots, cut)
+            assert_trackers_equal(replay, tracker)
+            assert repr(tracker.patterns("t")) == repr(replay.patterns("t"))
+
+        clock = tracker.clock
+        durable = replay.fork()
+        fork = tracker.fork()
+        horizon = timeline + data.draw(st.integers(0, 3), label="horizon")
+        replay.advance(snapshots, horizon)
+        fork.advance(snapshots, horizon)
+        assert_trackers_equal(replay, fork)
+        assert repr(fork.patterns("t")) == repr(replay.patterns("t"))
+        # The preview left the original where it was.
+        assert tracker.clock == clock
+        assert_trackers_equal(durable, tracker)
+        assert repr(tracker.patterns("t")) == repr(durable.patterns("t"))
+
+    def test_window_totals_sum_left_to_right(self):
+        # One stream whose burstiness over a nine-snapshot window is
+        # 1e16, seven 1.0s, then -1e16.  Left to right every 1.0 is
+        # absorbed by 1e16 and the total is 0.0: not bursty.  A pairwise
+        # sum (np.sum, in eight lanes) keeps some of the 1.0s.
+        values = [1e16] + [1.0] * 7 + [-1e16]
+        assert sequential_sum(values) == 0.0
+        assert np.cumsum(values)[-1] == 0.0
+        locations = {"a": Point(0.0, 0.0), "b": Point(1.0, 0.0)}
+        replay = STLocalTermTracker(locations, STLocalConfig(warmup=0))
+        replay._history = {
+            "a": dict(enumerate(values)),
+            "b": dict(enumerate([1.0] * 9)),
+        }
+        columnar = ColumnarTermTracker(
+            LocationStore(locations), STLocalConfig(warmup=0)
+        )
+        columnar._row_ids = ["a", "b"]
+        columnar._row_of = {"a": 0, "b": 1}
+        columnar._matrix = np.array([values, [1.0] * 9])
+        columnar._clock = 9
+        assert columnar._history == replay._history
+        streams = frozenset(locations)
+        for timeframe in (Interval(0, 8), Interval(0, 7), Interval(1, 8)):
+            assert columnar.bursty_members(
+                streams, timeframe
+            ) == replay.bursty_members(streams, timeframe)
+        assert columnar.bursty_members(streams, Interval(0, 8)) == {"b"}
 
     def test_custom_baseline_falls_back_to_reference(self):
         from repro.temporal.baselines import EWMABaseline

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.columnar.postings import PostingArray
+from repro.columnar.sweep import ColumnarTermTracker
 from repro.core.config import STLocalConfig
 from repro.core.stlocal import STLocalTermTracker
 from repro.errors import SearchError, StreamError
@@ -11,6 +12,12 @@ from repro.pipeline import IncrementalFeeder
 from repro.search.relevance import log_relevance
 from repro.spatial import Point
 from repro.streams import Document
+from repro.temporal.baselines import (
+    EWMABaseline,
+    MovingAverageBaseline,
+    RunningMeanBaseline,
+    SeasonalBaseline,
+)
 
 
 def make_live(timeline=16, n_streams=4):
@@ -129,6 +136,52 @@ class TestTrackerFork:
         tracker.process({"s1": 9.0})
         assert tracker.patterns("x") == fork.patterns("x")
 
+    @pytest.mark.parametrize(
+        "baseline, columnar",
+        [
+            (RunningMeanBaseline, True),
+            (RunningMeanBaseline, False),
+            (lambda: MovingAverageBaseline(window=3), False),
+            (lambda: EWMABaseline(alpha=0.5), False),
+            (lambda: SeasonalBaseline(period=3, fallback=RunningMeanBaseline()), False),
+        ],
+        ids=["running-mean-columnar", "running-mean", "moving-average", "ewma", "seasonal"],
+    )
+    def test_advancing_a_fork_leaves_the_original_untouched(
+        self, baseline, columnar
+    ):
+        locations = {f"s{i}": Point(float(i), 0.0) for i in range(3)}
+        config = STLocalConfig(warmup=0, baseline_factory=baseline)
+        if columnar:
+            tracker = IncrementalFeeder(locations, config).tracker("x")
+            assert isinstance(tracker, ColumnarTermTracker)
+        else:
+            tracker = STLocalTermTracker(locations, config)
+        snapshots = {
+            t: {"s0": 4.0 if 2 <= t <= 4 else 1.0, "s1": float(t % 3)}
+            for t in range(7)
+        }
+        tracker.advance(snapshots, 7)
+        models = tracker._models
+        expected = {sid: model.expected(7) for sid, model in models.items()}
+        patterns = repr(tracker.patterns("x"))
+
+        fork = tracker.fork()
+        fork.advance({t: {"s0": 9.0, "s2": 5.0} for t in range(7, 12)}, 12)
+        assert fork.clock == 12 and tracker.clock == 7
+        assert {
+            sid: model.expected(7) for sid, model in tracker._models.items()
+        } == expected
+        assert repr(tracker.patterns("x")) == patterns
+        # The original still advances exactly like a cold replay.
+        tracker.advance(snapshots, 8)
+        cold = STLocalTermTracker(locations, config)
+        cold.advance(snapshots, 8)
+        assert repr(tracker.patterns("x")) == repr(cold.patterns("x"))
+        assert {
+            sid: model.expected(8) for sid, model in tracker._models.items()
+        } == {sid: model.expected(8) for sid, model in cold._models.items()}
+
     def test_fork_of_pristine_tracker_can_fast_forward(self):
         tracker = STLocalTermTracker({"s0": Point(0.0, 0.0)})
         fork = tracker.fork()
@@ -171,6 +224,27 @@ class TestIncrementalFeeder:
             cold.process(snapshots.get(timestamp, {}))
         assert patterns == cold.patterns("t")
         assert feeder.terms() == ["t"]
+
+    def test_matrix_spans_exactly_the_observed_timeline(self):
+        # Streams first seen at many timestamps grow the matrix's rows
+        # again and again; its columns must stay the clock minus the
+        # first observation, never a multiple of it.
+        locations = {f"s{i}": Point(float(i % 4), float(i // 4)) for i in range(12)}
+        snapshots = {
+            t: {f"s{i}": 1.0 + (t + i) % 3 for i in range(min(t // 2 + 1, 12))}
+            for t in range(3, 40)
+        }
+        feeder = IncrementalFeeder(locations, STLocalConfig(warmup=2))
+        for through in range(5, 41, 2):
+            tracker = feeder.advance("t", snapshots, through)
+            width = tracker.clock - tracker._first
+            assert tracker._first == 3
+            assert tracker._matrix.shape == (len(tracker._row_ids), width)
+            preview = feeder.preview("t", snapshots, through + 3)
+            assert preview._matrix.shape == (
+                len(preview._row_ids), preview.clock - preview._first
+            )
+        assert len(tracker._row_ids) == 12
 
     def test_quiet_prefix_fast_forwarded(self):
         feeder = IncrementalFeeder({"s0": Point(0.0, 0.0)})

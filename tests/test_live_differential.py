@@ -30,8 +30,8 @@ from repro import (
     STLocal,
     SpatiotemporalCollection,
 )
+from repro.columnar.sweep import ColumnarTermTracker
 from repro.core.config import STLocalConfig
-from repro.pipeline import incremental
 from repro.temporal.baselines import EWMABaseline
 
 TIMELINE = 24
@@ -158,23 +158,25 @@ class TestDifferentialSchedules:
         # baseline must build live trackers by replay and still match.
         run_schedule(41, STLocalConfig(warmup=2, baseline_factory=EWMABaseline))
 
-    def test_seeded_schedules_sweep_then_replay(self, monkeypatch):
+    def test_seeded_schedules_sweep_then_advance(self, monkeypatch):
         # The oracle above must cover both halves of a durable tracker's
-        # life: built by the columnar sweep on the term's first touch,
-        # then extended snapshot by snapshot with process().
-        built = []
-        sweep_term = incremental.sweep_term
+        # life: swept from pristine on the term's first touch, then
+        # extended by later batched advances (and previews of forks).
+        calls = []
+        advance = ColumnarTermTracker.advance
 
-        def recording_sweep(*args, **kwargs):
-            tracker = sweep_term(*args, **kwargs)
-            built.append((tracker, tracker.clock))
-            return tracker
+        def recording_advance(tracker, snapshots, through):
+            pristine, clock = tracker.pristine, tracker.clock
+            advance(tracker, snapshots, through)
+            calls.append((pristine, clock, tracker.clock))
 
-        monkeypatch.setattr(incremental, "sweep_term", recording_sweep)
+        monkeypatch.setattr(ColumnarTermTracker, "advance", recording_advance)
         for seed in range(5):
             run_schedule(seed, STLocalConfig(warmup=2))
-        assert built
-        assert any(tracker.clock > clock for tracker, clock in built)
+        assert any(pristine and after > before for pristine, before, after in calls)
+        assert any(
+            not pristine and after > before for pristine, before, after in calls
+        )
 
 
 class TestHypothesisSchedules:
