@@ -113,7 +113,7 @@ def main() -> None:
     cold = SpatiotemporalCollection(TIMELINE)
     for city, point in cities.items():
         cold.add_stream(city, point)
-    for document in live.collection.documents():
+    for document in live.ingested_documents():
         cold.add_document(document)
     batch_engine = BurstySearchEngine(cold, BatchMiner().mine_regional(cold))
 

@@ -1016,7 +1016,7 @@ def _run_ingest(args: argparse.Namespace) -> None:
         cold = SpatiotemporalCollection(live.timeline)
         for sid, point in live.locations().items():
             cold.add_stream(sid, point)
-        for document in live.collection.documents():
+        for document in live.ingested_documents():
             cold.add_document(document)
         mined = BatchMiner().mine_regional(cold)
         batch_engine = BurstySearchEngine(cold, mined)

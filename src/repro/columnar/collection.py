@@ -15,6 +15,11 @@ transpose, built in one pass:
   rows containing it (ascending) and the in-document frequencies;
 * stream coordinate columns for vectorized geometry.
 
+:class:`DocumentColumns` is the document-major form of the same table
+— one row per document, terms as a per-document CSR — which is the
+layout of a store's ``documents/`` segment and of the live collection's
+arrival-order table.
+
 The store is a frozen snapshot, like
 :class:`~repro.streams.frequency.FrequencyTensor`: collection mutations
 after construction are not reflected.  It also duck-types the tensor
@@ -25,7 +30,16 @@ can mine straight off it.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set
+from typing import (
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+)
 
 import numpy as np
 
@@ -34,7 +48,27 @@ from repro.columnar.scoring import TermColumns
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document
 
-__all__ = ["ColumnarCollection"]
+__all__ = ["ColumnarCollection", "DocumentColumns"]
+
+
+class DocumentColumns(NamedTuple):
+    """A document table as parallel columns, one row per document.
+
+    Row ``r``'s terms are ``term_codes[term_indptr[r]:term_indptr[r + 1]]``
+    (with ``term_counts`` alongside), in the order the document first
+    used them; a code is the term's position in ``vocabulary``, which
+    lists terms in first-seen row order.
+    """
+
+    doc_ids: Sequence[Hashable]
+    stream_codes: np.ndarray
+    timestamps: np.ndarray
+    term_indptr: np.ndarray
+    term_codes: np.ndarray
+    term_counts: np.ndarray
+    vocabulary: Sequence[str]
+    #: ``str(row)`` → event id, for the rows that carry one, by row.
+    event_ids: Mapping[str, Hashable]
 
 
 class ColumnarCollection:

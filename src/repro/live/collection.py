@@ -1,8 +1,10 @@
-"""Append-only live ingestion over a spatiotemporal collection.
+"""Append-only live ingestion into one arrival-order column table.
 
-:class:`LiveCollection` wraps :class:`~repro.streams.collection.
-SpatiotemporalCollection` with the ingestion discipline of a serving
-system:
+:class:`LiveCollection` holds every ingested document once, as a row
+of an arrival-order table (doc ids, timestamps, stream codes, ranking
+tiebreaks, event ids and a per-document term CSR — the layout of a
+checkpoint's ``documents/`` segment), plus one view per term, with the
+ingestion discipline of a serving system:
 
 * **append-only time** — documents arrive in non-decreasing timestamp
   order (per snapshot, not per document: many documents may share the
@@ -12,12 +14,19 @@ system:
   preview only the open tail;
 * **epoch counter** — every mutation bumps the epoch, giving caches a
   single integer to key consistency on;
-* **incremental term views** — the per-term sparse snapshots
-  (``timestamp → stream → frequency``) and per-term document columns
-  (timestamps, stream codes, frequencies, ids and ranking tiebreaks,
-  in arrival order) are maintained on ingest in ``O(|terms(d)|)``, so
-  serving a query never rescans the collection and scoring a term is
-  one columnar pass (:func:`repro.columnar.scoring.columnar_postings`).
+* **incremental term views** — ingest appends each document's rows to
+  the table and to its terms' views (the rows containing the term,
+  with in-document frequencies) in one pass over
+  :meth:`~repro.streams.Document.term_counts`, so serving a query never
+  rescans the collection and scoring a term is one columnar pass
+  (:func:`repro.columnar.scoring.columnar_postings`).  A term's sparse
+  snapshots (``timestamp → stream → frequency``) are folded from its
+  view when asked for, so only mined terms pay for them.
+
+A checkpoint restore adopts a stored table in bulk
+(:meth:`LiveCollection.from_columns`): one stable argsort by term code
+builds every term view, and a restored row becomes a
+:class:`~repro.streams.Document` only when something asks for it.
 """
 
 from __future__ import annotations
@@ -29,37 +38,39 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    Mapping,
     Optional,
     Set,
-    Tuple,
 )
 
 import numpy as np
 
+from repro.columnar.collection import DocumentColumns
 from repro.columnar.postings import rank_tiebreak
 from repro.columnar.scoring import TermColumns
 from repro.errors import StreamError
 from repro.spatial.geometry import Point
-from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document
-from repro.streams.stream import DocumentStream
 
 __all__ = ["LiveCollection"]
 
 
 class _TermView:
-    """One term's incremental view: its live tensor slices and the rows
-    (with in-document frequencies) of the documents containing it."""
+    """One term's incremental view: its code, the rows (with
+    in-document frequencies) of the documents containing it, and its
+    sparse snapshots folded through ``folded`` of those rows."""
 
-    __slots__ = ("slices", "rows", "counts")
+    __slots__ = ("code", "rows", "counts", "slices", "folded")
 
-    def __init__(self) -> None:
-        # timestamp → stream → frequency.
-        self.slices: Dict[int, Dict[Hashable, float]] = {}
+    def __init__(self, code: int) -> None:
+        self.code = code
         # Lists, in arrival order: ingest appends to them once per
         # (document, term), and list.append is the cheapest append.
         self.rows: List[int] = []
         self.counts: List[int] = []
+        # timestamp → stream → frequency, over rows[:folded].
+        self.slices: Dict[int, Dict[Hashable, float]] = {}
+        self.folded = 0
 
 
 def _gather(column: array, rows: np.ndarray) -> np.ndarray:
@@ -71,11 +82,17 @@ def _gather(column: array, rows: np.ndarray) -> np.ndarray:
     return np.frombuffer(column, dtype=np.int64)[rows]
 
 
+def _int64_array(values) -> array:
+    """An appendable ``array('q')`` holding a copy of an integer column."""
+    return array("q", np.asarray(values, dtype=np.int64).tobytes())
+
+
 class LiveCollection:
     """An ingestion façade enforcing live-serving invariants.
 
     Args:
-        timeline: Number of timestamps of the underlying collection.
+        timeline: Number of timestamps (documents must satisfy
+            ``0 <= timestamp < timeline``).
 
     Streams must be registered (:meth:`add_stream`) before the first
     document is ingested: the live miners share one immutable location
@@ -84,28 +101,94 @@ class LiveCollection:
     """
 
     def __init__(self, timeline: int) -> None:
-        self._inner = SpatiotemporalCollection(timeline)
+        if timeline < 1:
+            raise StreamError("timeline must cover at least one timestamp")
+        self._timeline = timeline
         self._epoch = 0
         self._watermark = -1  # highest ingested timestamp; -1 = empty
-        self._term_views: Dict[str, _TermView] = {}
-        # Per-document columns, one row per document in arrival order.
+        self._locations: Dict[Hashable, Point] = {}
+        self._stream_ids: List[Hashable] = []
+        self._stream_code: Dict[Hashable, int] = {}
+        # The table, one row per document in arrival order.
         self._doc_ids: List[Hashable] = []
+        self._row_of: Dict[Hashable, int] = {}
         self._timestamps = array("q")
         self._stream_codes = array("q")
         self._tiebreaks = array("q")
-        self._stream_code: Dict[Hashable, int] = {}
-        self._docs_by_id: Dict[Hashable, Document] = {}
+        self._event_ids: Dict[str, Hashable] = {}
+        self._term_indptr: List[int] = [0]
+        self._term_codes: List[int] = []
+        self._term_counts: List[int] = []
+        # Keyed by term in code order, so the keys are the vocabulary.
+        self._term_views: Dict[str, _TermView] = {}
+        # Rows [0, _stored_rows) were adopted from a stored table and
+        # become documents through ``_stored``; later rows are the
+        # ingested documents themselves.
+        self._stored: Optional[Callable[[int], Document]] = None
+        self._stored_rows = 0
+        self._documents: List[Document] = []
         self._listeners: List[Callable[[Document], None]] = []
+
+    @classmethod
+    def from_columns(
+        cls,
+        timeline: int,
+        locations: Mapping[Hashable, Point],
+        columns: DocumentColumns,
+        document_at: Callable[[int], Document],
+    ) -> "LiveCollection":
+        """A collection holding a stored arrival-order table.
+
+        The state equals ingesting the table's documents one by one,
+        except that a row becomes a :class:`Document` only when asked
+        for, through ``document_at(row)``.  The columns must already be
+        consistent (in range, timestamps non-decreasing, ids unique):
+        the store checks them before adopting a checkpoint.
+        """
+        live = cls(timeline)
+        for stream_id, point in locations.items():
+            live.add_stream(stream_id, point)
+        doc_ids = list(columns.doc_ids)
+        rows = len(doc_ids)
+        live._doc_ids = doc_ids
+        live._row_of = dict(zip(doc_ids, range(rows)))
+        live._stored = document_at
+        live._stored_rows = rows
+        live._timestamps = _int64_array(columns.timestamps)
+        live._stream_codes = _int64_array(columns.stream_codes)
+        live._tiebreaks = array("q", map(rank_tiebreak, doc_ids))
+        live._event_ids = dict(columns.event_ids)
+        indptr = np.asarray(columns.term_indptr, dtype=np.int64)
+        codes = np.asarray(columns.term_codes, dtype=np.int64)
+        counts = np.asarray(columns.term_counts, dtype=np.int64)
+        live._term_indptr = indptr.tolist()
+        live._term_codes = codes.tolist()
+        live._term_counts = counts.tolist()
+        if rows:
+            live._watermark = live._timestamps[-1]
+
+        # One stable sort groups the entries by term, keeping each
+        # term's rows in arrival order.
+        order = np.argsort(codes, kind="stable")
+        term_rows = np.repeat(np.arange(rows), np.diff(indptr))[order].tolist()
+        term_counts = counts[order].tolist()
+        bounds = np.cumsum(
+            np.bincount(codes, minlength=len(columns.vocabulary))
+        ).tolist()
+        start = 0
+        views = live._term_views
+        for code, term in enumerate(columns.vocabulary):
+            view = views[term] = _TermView(code)
+            end = bounds[code]
+            view.rows = term_rows[start:end]
+            view.counts = term_counts[start:end]
+            start = end
+        return live
 
     # ------------------------------------------------------------------
     # Construction / ingestion
     # ------------------------------------------------------------------
-    def add_stream(
-        self,
-        stream_id: Hashable,
-        location: Point,
-        latlon: Optional[Tuple[float, float]] = None,
-    ) -> DocumentStream:
+    def add_stream(self, stream_id: Hashable, location: Point) -> None:
         """Register a stream; only allowed before ingestion begins.
 
         Raises:
@@ -117,10 +200,12 @@ class LiveCollection:
                 "streams must be registered before ingestion begins "
                 "(live trackers share a fixed location map)"
             )
-        stream = self._inner.add_stream(stream_id, location, latlon=latlon)
-        self._stream_code[stream_id] = len(self._stream_code)
+        if stream_id in self._stream_code:
+            raise StreamError(f"stream {stream_id!r} already registered")
+        self._stream_code[stream_id] = len(self._stream_ids)
+        self._stream_ids.append(stream_id)
+        self._locations[stream_id] = location
         self._epoch += 1
-        return stream
 
     def ingest(self, document: Document) -> int:
         """Append one document; returns the new epoch.
@@ -131,39 +216,47 @@ class LiveCollection:
                 document id, an unknown stream, or a timestamp outside
                 the timeline.
         """
-        if document.timestamp < self._watermark:
+        doc_id, timestamp = document.doc_id, document.timestamp
+        if timestamp < self._watermark:
             raise StreamError(
-                f"late arrival: timestamp {document.timestamp} is behind "
-                f"the watermark {self._watermark}; sealed snapshots are "
+                f"late arrival: timestamp {timestamp} is behind the "
+                f"watermark {self._watermark}; sealed snapshots are "
                 "immutable"
             )
-        if document.doc_id in self._docs_by_id:
+        if doc_id in self._row_of:
             raise StreamError(
-                f"duplicate document id {document.doc_id!r}: live posting "
+                f"duplicate document id {doc_id!r}: live posting "
                 "lists key documents on unique ids"
             )
-        self._inner.add_document(document)  # validates stream + timeline
-        doc_id, stream_id, timestamp = (
-            document.doc_id, document.stream_id, document.timestamp
-        )
-        self._docs_by_id[doc_id] = document
-        self._watermark = max(self._watermark, timestamp)
+        stream_code = self._stream_code.get(document.stream_id)
+        if stream_code is None:
+            raise StreamError(f"unknown stream {document.stream_id!r}")
+        if not 0 <= timestamp < self._timeline:
+            raise StreamError(
+                f"timestamp {timestamp} outside timeline "
+                f"[0, {self._timeline})"
+            )
+        self._watermark = timestamp
         row = len(self._doc_ids)
+        self._row_of[doc_id] = row
         self._doc_ids.append(doc_id)
+        self._documents.append(document)
         self._timestamps.append(timestamp)
-        self._stream_codes.append(self._stream_code[stream_id])
+        self._stream_codes.append(stream_code)
         self._tiebreaks.append(rank_tiebreak(doc_id))
+        if document.event_id is not None:
+            self._event_ids[str(row)] = document.event_id
         views = self._term_views
+        term_codes, term_counts = self._term_codes, self._term_counts
         for term, count in document.term_counts().items():
             view = views.get(term)
             if view is None:
-                view = views[term] = _TermView()
-            snapshot = view.slices.get(timestamp)
-            if snapshot is None:
-                snapshot = view.slices[timestamp] = {}
-            snapshot[stream_id] = snapshot.get(stream_id, 0.0) + float(count)
+                view = views[term] = _TermView(len(views))
+            term_codes.append(view.code)
+            term_counts.append(count)
             view.rows.append(row)
             view.counts.append(count)
+        self._term_indptr.append(len(term_codes))
         self._epoch += 1
         for listener in self._listeners:
             listener(document)
@@ -211,9 +304,9 @@ class LiveCollection:
             raise StreamError(
                 f"cannot advance backwards ({timestamp} < {self._watermark})"
             )
-        if not 0 <= timestamp < self.timeline:
+        if not 0 <= timestamp < self._timeline:
             raise StreamError(
-                f"timestamp {timestamp} outside timeline [0, {self.timeline})"
+                f"timestamp {timestamp} outside timeline [0, {self._timeline})"
             )
         if timestamp != self._watermark:
             self._watermark = timestamp
@@ -227,11 +320,6 @@ class LiveCollection:
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-    @property
-    def collection(self) -> SpatiotemporalCollection:
-        """The underlying collection (treat as read-only)."""
-        return self._inner
-
     @property
     def epoch(self) -> int:
         """Mutation epoch; bumps on every ingest / advance / stream."""
@@ -253,30 +341,63 @@ class LiveCollection:
 
     @property
     def timeline(self) -> int:
-        return self._inner.timeline
+        return self._timeline
 
     @property
     def document_count(self) -> int:
-        return self._inner.document_count
+        return len(self._doc_ids)
 
     @property
     def vocabulary(self) -> Set[str]:
-        return self._inner.vocabulary
+        return set(self._term_views)
 
     def locations(self) -> Dict[Hashable, Point]:
-        return self._inner.locations()
+        """Stream id → location, in registration order."""
+        return dict(self._locations)
+
+    def document_columns(self) -> DocumentColumns:
+        """A copy of the arrival-order table, as a checkpoint's
+        ``documents/`` segment stores it."""
+        return DocumentColumns(
+            doc_ids=list(self._doc_ids),
+            stream_codes=np.array(self._stream_codes, dtype=np.int64),
+            timestamps=np.array(self._timestamps, dtype=np.int64),
+            term_indptr=np.array(self._term_indptr, dtype=np.int64),
+            term_codes=np.array(self._term_codes, dtype=np.int64),
+            term_counts=np.array(self._term_counts, dtype=np.int64),
+            vocabulary=list(self._term_views),
+            event_ids=dict(self._event_ids),
+        )
 
     # ------------------------------------------------------------------
     # Incremental term views
     # ------------------------------------------------------------------
     def term_snapshots(self, term: str) -> Dict[int, Dict[Hashable, float]]:
-        """The term's sparse per-timestamp slices, maintained on ingest.
+        """The term's sparse per-timestamp slices.
 
         Same shape as
-        :meth:`repro.streams.FrequencyTensor.term_snapshots`.
+        :meth:`repro.streams.FrequencyTensor.term_snapshots`.  The rows
+        ingested since the last call are folded in first, in arrival
+        order.
         """
         view = self._term_views.get(term)
-        return {} if view is None else view.slices
+        if view is None:
+            return {}
+        if view.folded < len(view.rows):
+            slices = view.slices
+            timestamps, codes = self._timestamps, self._stream_codes
+            stream_ids = self._stream_ids
+            for row, count in zip(
+                view.rows[view.folded :], view.counts[view.folded :]
+            ):
+                timestamp = timestamps[row]
+                snapshot = slices.get(timestamp)
+                if snapshot is None:
+                    snapshot = slices[timestamp] = {}
+                stream_id = stream_ids[codes[row]]
+                snapshot[stream_id] = snapshot.get(stream_id, 0.0) + count
+            view.folded = len(view.rows)
+        return view.slices
 
     def term_version(self, term: str) -> int:
         """Monotonic per-term change counter.
@@ -293,13 +414,12 @@ class LiveCollection:
 
     def documents_with(self, term: str) -> List[Document]:
         """Documents containing the term, in arrival order."""
-        view = self._term_views.get(term, _TermView())
-        doc_ids = self._doc_ids
-        return [self._docs_by_id[doc_ids[row]] for row in view.rows]
+        view = self._term_views.get(term, _TermView(-1))
+        return [self._document(row) for row in view.rows]
 
     def term_columns(self, term: str) -> TermColumns:
         """The documents containing ``term`` as columns, in arrival order."""
-        view = self._term_views.get(term, _TermView())
+        view = self._term_views.get(term, _TermView(-1))
         rows = np.array(view.rows, dtype=np.int64)
         return TermColumns(
             timestamps=_gather(self._timestamps, rows),
@@ -311,20 +431,30 @@ class LiveCollection:
             stream_code=self._stream_code,
         )
 
+    # ------------------------------------------------------------------
+    # Documents
+    # ------------------------------------------------------------------
+    def _document(self, row: int) -> Document:
+        if self._stored is not None and row < self._stored_rows:
+            return self._stored(row)
+        return self._documents[row - self._stored_rows]
+
     def ingested_documents(self) -> List[Document]:
         """Every ingested document, in arrival order.
 
-        The arrival order is what a checkpoint must persist: replaying
-        it through a fresh collection reproduces the per-term views,
-        watermark and sealing behaviour exactly (ingest admits only
-        non-decreasing timestamps, so the recorded order always
-        revalidates).
+        Re-ingesting them into a fresh collection (or adding them to a
+        batch :class:`~repro.streams.SpatiotemporalCollection`)
+        reproduces this collection's term views: ingest admits only
+        non-decreasing timestamps, so the arrival order always
+        revalidates.
         """
-        return list(self._docs_by_id.values())
+        return [
+            self._document(row) for row in range(self._stored_rows)
+        ] + self._documents
 
     def has_document(self, doc_id: Hashable) -> bool:
         """True when a document id has already been ingested."""
-        return doc_id in self._docs_by_id
+        return doc_id in self._row_of
 
     def document(self, doc_id: Hashable) -> Document:
         """Look up an ingested document by id.
@@ -332,11 +462,11 @@ class LiveCollection:
         Raises:
             StreamError: for an unknown id.
         """
-        document = self._docs_by_id.get(doc_id)
-        if document is None:
+        row = self._row_of.get(doc_id)
+        if row is None:
             raise StreamError(f"unknown document {doc_id!r}")
-        return document
+        return self._document(row)
 
     def __len__(self) -> int:
-        """Number of streams, mirroring the wrapped collection."""
-        return len(self._inner)
+        """Number of registered streams."""
+        return len(self._stream_ids)

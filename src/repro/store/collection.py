@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Dict, Hashable, Iterator, List, Optional
 
+from repro.columnar.collection import DocumentColumns
 from repro.spatial.geometry import Point
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document
@@ -111,6 +112,20 @@ class DocumentTable:
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    def columns(self) -> DocumentColumns:
+        """The stored columns as they are: mapped, neither copied nor
+        checked."""
+        return DocumentColumns(
+            doc_ids=self.doc_ids,
+            stream_codes=self._stream_codes,
+            timestamps=self._timestamps,
+            term_indptr=self._indptr,
+            term_codes=self._term_codes,
+            term_counts=self._term_counts,
+            vocabulary=self.vocabulary,
+            event_ids=self._event_ids,
+        )
 
     def row_of(self, doc_id: Hashable) -> Optional[int]:
         if self._row_of is None:

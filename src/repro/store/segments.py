@@ -12,13 +12,13 @@ order preserves the in-memory iteration order the algorithms depend on.
 
 Codecs:
 
-* **documents** — the :class:`~repro.columnar.collection.
-  ColumnarCollection` column set in document-major form: doc-id table,
-  stream codes, timestamps, precomputed ``rank_tiebreak`` values, and a
-  CSR of int-coded per-document term counts.  Decoding rebuilds the
-  exact :class:`~repro.streams.SpatiotemporalCollection` document
-  iteration order (term multiplicity is preserved; intra-document token
-  interleaving, which no algorithm observes, is not).
+* **documents** — a :class:`~repro.columnar.collection.
+  DocumentColumns` table: doc-id table, stream codes, timestamps, and a
+  CSR of int-coded per-document term counts.  Rows keep the writer's
+  order — a batch collection's document iteration order, or a live
+  checkpoint's arrival order (term multiplicity is preserved;
+  intra-document token interleaving, which no algorithm observes, is
+  not).
 * **postings** — per-term :class:`~repro.columnar.postings.
   PostingArray` columns as one CSR over a shared doc-id table, plus a
   *shadow* CSR for random-access-only entries (documents a
@@ -43,6 +43,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columnar.collection import DocumentColumns
 from repro.columnar.postings import PackedPostingArray, PostingArray
 from repro.core.config import STLocalConfig
 from repro.core.patterns import CombinatorialPattern, RegionalPattern
@@ -63,9 +64,7 @@ from repro.temporal.baselines import RunningMeanBaseline
 from repro.temporal.max_segments import OnlineMaxSegments
 
 __all__ = [
-    "decode_collection",
     "decode_config",
-    "decode_documents",
     "decode_patterns",
     "decode_posting_list",
     "decode_trackers",
@@ -75,6 +74,7 @@ __all__ = [
     "encode_posting_lists",
     "encode_trackers",
     "trackers_persistable",
+    "write_document_columns",
     "PostingSegment",
 ]
 
@@ -133,21 +133,11 @@ def encode_documents(
     """Persist a document table plus the stream table under ``prefix``.
 
     ``documents`` order is authoritative: batch stores pass
-    ``collection.documents()`` order, live checkpoints pass arrival
-    order — decoding replays the same order either way.
+    ``collection.documents()`` order and decoding replays it.  Live
+    checkpoints hand their arrival-order table straight to
+    :func:`write_document_columns`, which writes the same bytes.
     """
-    stream_ids = list(locations)
-    stream_code = {sid: code for code, sid in enumerate(stream_ids)}
-    streams_kind = _write_id_column(writer, prefix, "stream_ids", stream_ids)
-    writer.add_array(
-        f"{prefix}/stream_x.npy",
-        np.asarray([locations[sid].x for sid in stream_ids], dtype="<f8"),
-    )
-    writer.add_array(
-        f"{prefix}/stream_y.npy",
-        np.asarray([locations[sid].y for sid in stream_ids], dtype="<f8"),
-    )
-
+    stream_code = {sid: code for code, sid in enumerate(locations)}
     vocabulary: Dict[str, int] = {}
     doc_ids: List[Hashable] = []
     stream_codes: List[int] = []
@@ -166,67 +156,72 @@ def encode_documents(
         indptr.append(len(term_codes))
         if document.event_id is not None:
             event_ids[str(row)] = document.event_id
-    for event_id in event_ids.values():
+    write_document_columns(
+        writer,
+        prefix,
+        timeline,
+        locations,
+        DocumentColumns(
+            doc_ids=doc_ids,
+            stream_codes=np.asarray(stream_codes, dtype="<i8"),
+            timestamps=np.asarray(timestamps, dtype="<i8"),
+            term_indptr=np.asarray(indptr, dtype="<i8"),
+            term_codes=np.asarray(term_codes, dtype="<i8"),
+            term_counts=np.asarray(term_counts, dtype="<i8"),
+            vocabulary=list(vocabulary),
+            event_ids=event_ids,
+        ),
+    )
+
+
+def write_document_columns(
+    writer: SegmentWriter,
+    prefix: str,
+    timeline: int,
+    locations: Dict[Hashable, Point],
+    columns: DocumentColumns,
+) -> None:
+    """Persist a columnar document table plus the stream table.
+
+    ``columns.stream_codes`` index ``locations`` in its iteration order.
+    """
+    stream_ids = list(locations)
+    streams_kind = _write_id_column(writer, prefix, "stream_ids", stream_ids)
+    writer.add_array(
+        f"{prefix}/stream_x.npy",
+        np.asarray([locations[sid].x for sid in stream_ids], dtype="<f8"),
+    )
+    writer.add_array(
+        f"{prefix}/stream_y.npy",
+        np.asarray([locations[sid].y for sid in stream_ids], dtype="<f8"),
+    )
+    for event_id in columns.event_ids.values():
         if not isinstance(event_id, (str, int, float, bool)):
             raise StoreError(
                 f"event id {event_id!r} is not a JSON scalar and cannot "
                 "be persisted"
             )
 
-    doc_kind = _write_id_column(writer, prefix, "doc_ids", doc_ids)
-    writer.add_array(
-        f"{prefix}/stream_codes.npy", np.asarray(stream_codes, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/timestamps.npy", np.asarray(timestamps, dtype="<i8")
-    )
-    writer.add_array(f"{prefix}/term_indptr.npy", np.asarray(indptr, dtype="<i8"))
-    writer.add_array(
-        f"{prefix}/term_codes.npy", np.asarray(term_codes, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/term_counts.npy", np.asarray(term_counts, dtype="<i8")
-    )
+    doc_kind = _write_id_column(writer, prefix, "doc_ids", columns.doc_ids)
+    for name, column in (
+        ("stream_codes", columns.stream_codes),
+        ("timestamps", columns.timestamps),
+        ("term_indptr", columns.term_indptr),
+        ("term_codes", columns.term_codes),
+        ("term_counts", columns.term_counts),
+    ):
+        writer.add_array(f"{prefix}/{name}.npy", np.asarray(column, dtype="<i8"))
     writer.add_json(
         f"{prefix}/meta.json",
         {
             "timeline": timeline,
-            "documents": len(doc_ids),
+            "documents": len(columns.doc_ids),
             "doc_id_kind": doc_kind,
             "stream_id_kind": streams_kind,
-            "vocabulary": list(vocabulary),
-            "event_ids": event_ids,
+            "vocabulary": list(columns.vocabulary),
+            "event_ids": dict(columns.event_ids),
         },
     )
-
-
-def decode_documents(
-    reader: SegmentReader, prefix: str
-) -> Tuple[int, Dict[Hashable, Point], List[Document]]:
-    """Rebuild ``(timeline, locations, documents)`` from a doc segment.
-
-    Eager counterpart of the serve-from-disk path: one
-    :class:`~repro.store.collection.DocumentTable` is the single
-    decoder of this layout; here every row is materialised up front
-    (live restores re-ingest the whole table anyway).
-    """
-    from repro.store.collection import DocumentTable
-
-    table = DocumentTable(reader, prefix)
-    return table.timeline, dict(table.locations), list(table.all_documents())
-
-
-def decode_collection(reader: SegmentReader, prefix: str):
-    """Rebuild a full :class:`SpatiotemporalCollection` from a segment."""
-    from repro.streams.collection import SpatiotemporalCollection
-
-    timeline, locations, documents = decode_documents(reader, prefix)
-    collection = SpatiotemporalCollection(timeline)
-    for sid, point in locations.items():
-        collection.add_stream(sid, point)
-    for document in documents:
-        collection.add_document(document)
-    return collection
 
 
 # ----------------------------------------------------------------------

@@ -26,14 +26,24 @@ crc32 tiebreaks) and top-k rankings across every execution strategy.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Dict,
+    List,
+    NoReturn,
+    Optional,
+    Sequence,
+    Union,
+)
 
+import numpy as np
+
+from repro.columnar.collection import DocumentColumns
 from repro.errors import StoreCorruptionError, StoreError
 from repro.store.format import SegmentReader, SegmentWriter
 from repro.store.segments import (
     PostingSegment,
     decode_config,
-    decode_documents,
     decode_patterns,
     decode_trackers,
     encode_config,
@@ -42,6 +52,7 @@ from repro.store.segments import (
     encode_posting_lists,
     encode_trackers,
     trackers_persistable,
+    write_document_columns,
 )
 
 __all__ = [
@@ -126,7 +137,9 @@ def load_trackers(path: StoreLike, **open_kwargs):
         "trackers_streams" if store.has("trackers_streams/meta.json")
         else "documents"
     )
-    _, locations, _ = decode_documents(store, prefix)
+    from repro.store.collection import DocumentTable
+
+    locations = DocumentTable(store, prefix).locations
     return decode_trackers(store, "trackers", locations)
 
 
@@ -410,8 +423,6 @@ def _ranking(results) -> List:
 
 
 def _bits(array) -> bytes:
-    import numpy as np
-
     return np.ascontiguousarray(np.asarray(array)).tobytes()
 
 
@@ -527,7 +538,7 @@ def _verify_live_store(store: SegmentReader, k: int) -> List[str]:
     cold = SpatiotemporalCollection(live.timeline)
     for sid, point in live.locations().items():
         cold.add_stream(sid, point)
-    for document in live.collection.documents():
+    for document in live.ingested_documents():
         cold.add_document(document)
     # Cold-mine under the checkpoint's own STLocal settings (restore
     # just decoded them into engine.config).
@@ -566,12 +577,12 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
     config_payload = encode_config(config)
 
     writer = SegmentWriter(path)
-    encode_documents(
+    write_document_columns(
         writer,
         "documents",
         live.timeline,
         live.locations(),
-        live.ingested_documents(),
+        live.document_columns(),
     )
     states = engine._states
     patterns = {term: list(state.patterns) for term, state in states.items()}
@@ -605,22 +616,111 @@ def save_live_checkpoint(path: str, engine, codec: str = "raw") -> None:
     )
 
 
+def _check_live_columns(
+    store: SegmentReader,
+    timeline: int,
+    streams: int,
+    columns: DocumentColumns,
+    watermark: int,
+) -> None:
+    """Refuse a checkpoint whose document columns contradict each other.
+
+    Restore adopts the columns without re-ingesting a document, so
+    every invariant ingest would have enforced is checked here, one
+    vectorised pass per column: offsets and codes in range, timestamps
+    inside the timeline and in arrival (non-decreasing) order, unique
+    document ids, and a watermark at or past the last document.
+
+    Raises:
+        StoreCorruptionError: naming the offending file.
+    """
+
+    def refuse(name: str, problem: str) -> NoReturn:
+        raise StoreCorruptionError(
+            f"live checkpoint {store.path!r}: {name} {problem}"
+        )
+
+    rows = len(columns.doc_ids)
+    indptr = np.asarray(columns.term_indptr)
+    codes = np.asarray(columns.term_codes)
+    counts = np.asarray(columns.term_counts)
+    timestamps = np.asarray(columns.timestamps)
+    stream_codes = np.asarray(columns.stream_codes)
+    terms = len(columns.vocabulary)
+    if timeline < 1:
+        refuse("documents/meta.json", f"has timeline {timeline}")
+    if len(timestamps) != rows or len(stream_codes) != rows:
+        refuse("documents/", f"columns disagree on {rows} document rows")
+    if (
+        len(indptr) != rows + 1
+        or indptr[0] != 0
+        or indptr[-1] != len(codes)
+        or (np.diff(indptr) < 0).any()
+    ):
+        refuse(
+            "documents/term_indptr.npy",
+            "is not a non-decreasing offset column over term_codes",
+        )
+    if len(counts) != len(codes):
+        refuse("documents/term_counts.npy", "is not parallel to term_codes")
+    if len(codes) and (codes.min() < 0 or codes.max() >= terms):
+        refuse(
+            "documents/term_codes.npy",
+            f"holds a code outside the vocabulary [0, {terms})",
+        )
+    if len(counts) and counts.min() < 1:
+        refuse("documents/term_counts.npy", "holds a count below 1")
+    if len(set(columns.vocabulary)) != terms:
+        refuse("documents/meta.json", "lists a vocabulary term twice")
+    if rows and (stream_codes.min() < 0 or stream_codes.max() >= streams):
+        refuse(
+            "documents/stream_codes.npy",
+            f"holds a code outside the stream table [0, {streams})",
+        )
+    if rows and (timestamps.min() < 0 or timestamps.max() >= timeline):
+        refuse(
+            "documents/timestamps.npy",
+            f"holds a timestamp outside the timeline [0, {timeline})",
+        )
+    if (np.diff(timestamps) < 0).any():
+        refuse(
+            "documents/timestamps.npy",
+            "decreases, but a checkpoint stores documents in arrival order",
+        )
+    if len(set(columns.doc_ids)) != rows:
+        ids = "documents/doc_ids.npy"
+        if not store.has(ids):
+            ids = "documents/doc_ids.json"
+        refuse(ids, "repeats a document id")
+    last = int(timestamps[-1]) if rows else -1
+    if not last <= watermark < timeline:
+        refuse(
+            "live/meta.json",
+            f"has watermark {watermark}, outside [{last}, {timeline})",
+        )
+
+
 def restore_live_checkpoint(path: StoreLike, engine) -> None:
     """Load a ``live`` checkpoint into an existing engine (in place).
 
     Replaces the engine's collection, posting lists and per-term sync
-    state with the persisted snapshot, starts a fresh tracker feeder
-    (each term's tracker is rebuilt from the documents on its first
-    stale sync), resets the serving statistics and clears the result
-    cache — counters and cached rankings describe the *previous*
-    backing index, and surviving a restore would report stale
-    hit-rates for an index they never measured.  What older
-    checkpoints wrote and this version no longer reads — a
-    ``trackers/`` segment, ``live/meta.json`` keys such as
-    ``doc_cursor`` — is ignored.
+    state with the persisted snapshot.  The collection adopts the
+    stored ``documents/`` columns in bulk — no document is re-ingested,
+    and a stored row becomes a :class:`~repro.streams.Document` only
+    when a caller asks for it — after one vectorised consistency check
+    of the columns (:class:`~repro.errors.StoreCorruptionError` on any
+    contradiction).  Restore then starts a fresh tracker feeder (each
+    term's tracker is rebuilt from the documents on its first stale
+    sync), resets the serving statistics and clears the result cache —
+    counters and cached rankings describe the *previous* backing index,
+    and surviving a restore would report stale hit-rates for an index
+    they never measured.  What older checkpoints wrote and this version
+    no longer reads — a ``trackers/`` segment, ``live/meta.json`` keys
+    such as ``doc_cursor`` — is ignored.
     """
     from repro.live.collection import LiveCollection
     from repro.live.engine import _TermState, ServingStats
+    from repro.store.collection import DocumentTable
 
     store = open_store(path)
     if store.kind != "live":
@@ -633,13 +733,15 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
     # two scoring models in one list.
     _check_scoring_fingerprints(store, engine)
     live_meta = store.json("live/meta.json")
-    timeline, locations, documents = decode_documents(store, "documents")
-    live = LiveCollection(timeline)
-    for sid, point in locations.items():
-        live.add_stream(sid, point)
-    for document in documents:
-        live.ingest(document)
     watermark = int(live_meta["watermark"])
+    table = DocumentTable(store, "documents")
+    columns = table.columns()
+    _check_live_columns(
+        store, table.timeline, len(table.locations), columns, watermark
+    )
+    live = LiveCollection.from_columns(
+        table.timeline, table.locations, columns, table.document_at
+    )
     if watermark > live.watermark:
         live.advance_to(watermark)
     # The epoch counts every historical mutation (including empty

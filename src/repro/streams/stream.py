@@ -54,9 +54,13 @@ class DocumentStream:
                 f"document {document.doc_id!r} belongs to stream "
                 f"{document.stream_id!r}, not {self.stream_id!r}"
             )
-        self._by_timestamp.setdefault(document.timestamp, []).append(document)
-        counts = self._term_counts.setdefault(document.timestamp, Counter())
-        counts.update(document.terms)
+        timestamp = document.timestamp
+        documents = self._by_timestamp.get(timestamp)
+        if documents is None:
+            documents = self._by_timestamp[timestamp] = []
+            self._term_counts[timestamp] = Counter()
+        documents.append(document)
+        self._term_counts[timestamp].update(document.terms)
         self._document_count += 1
 
     # ------------------------------------------------------------------

@@ -107,7 +107,7 @@ class TestLiveCollection:
         assert live.document_count == 1
         assert live.vocabulary == {"a", "b"}
         assert set(live.locations()) == {"s0", "s1", "s2"}
-        assert live.collection.document_count == 1
+        assert [d.doc_id for d in live.ingested_documents()] == [1]
 
     def test_subscribe_hook_fires(self):
         live = make_live()

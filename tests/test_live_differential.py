@@ -71,7 +71,7 @@ def cold_rebuild(live, config):
     collection = SpatiotemporalCollection(live.timeline)
     for stream_id, point in live.locations().items():
         collection.add_stream(stream_id, point)
-    for document in live.collection.documents():
+    for document in live.ingested_documents():
         collection.add_document(document)
     mined = BatchMiner(stlocal=STLocal(config)).mine_regional(collection)
     engine = BurstySearchEngine(collection, mined)

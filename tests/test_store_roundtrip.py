@@ -657,7 +657,7 @@ class TestLiveCheckpoint:
         cold = SpatiotemporalCollection(live.timeline)
         for sid, point in live.locations().items():
             cold.add_stream(sid, point)
-        for document in live.collection.documents():
+        for document in live.ingested_documents():
             cold.add_document(document)
         return BurstySearchEngine(cold, BatchMiner().mine_regional(cold))
 
@@ -784,6 +784,220 @@ class TestLiveCheckpoint:
         )
         with pytest.raises(StoreError, match="STLocal settings"):
             other.restore(path)
+
+
+class TestLiveCheckpointColumns:
+    """A checkpoint's document table is the live collection's own table:
+    restore adopts its columns, re-checkpointing writes them back byte
+    for byte, and inconsistent columns are refused, not adopted."""
+
+    VOCABULARY = ("storm", "flood", "filler", "quake", "rain")
+
+    def feed(self, engine, live, start, stop, seed):
+        """Ingest timestamps ``[start, stop)``, querying as it goes."""
+        rng = random.Random(seed)
+        doc = live.document_count
+        for t in range(start, stop):
+            for sid in list(live.locations()):
+                if rng.random() < 0.6:
+                    terms = tuple(
+                        rng.choice(self.VOCABULARY)
+                        for _ in range(rng.randint(1, 4))
+                    )
+                    event = rng.choice((None, None, f"ev{t % 3}", t % 2))
+                    live.ingest(Document(doc, sid, t, terms, event_id=event))
+                    doc += 1
+            if t % 5 == 4:
+                engine.search(rng.choice(("storm", "flood", "storm rain")), k=5)
+
+    def build(self, stop=20):
+        live = LiveCollection(40)
+        for i in range(5):
+            live.add_stream(f"s{i}", Point(float(i % 3), float(i // 3)))
+        engine = LiveSearchEngine(live)
+        self.feed(engine, live, 0, stop, seed=3)
+        return live, engine
+
+    @staticmethod
+    def read(path, name):
+        with open(os.path.join(path, name), "rb") as handle:
+            return handle.read()
+
+    def assert_same_files(self, expected, actual, names):
+        for name in names:
+            assert self.read(actual, name) == self.read(expected, name), name
+
+    @pytest.mark.parametrize("codec", ["raw", "packed"])
+    def test_documents_segment_equals_encode_documents(self, tmp_path, codec):
+        from repro.store.segments import encode_documents
+
+        live, engine = self.build()
+        checkpoint = str(tmp_path / "ckpt")
+        engine.checkpoint(checkpoint, codec=codec)
+        encoded = str(tmp_path / "encoded")
+        writer = SegmentWriter(encoded)
+        encode_documents(
+            writer,
+            "documents",
+            live.timeline,
+            live.locations(),
+            live.ingested_documents(),
+        )
+        writer.commit("documents")
+        names = sorted(
+            name
+            for name in SegmentReader(checkpoint).manifest["files"]
+            if name.startswith("documents/")
+        )
+        assert names == sorted(SegmentReader(encoded).manifest["files"])
+        self.assert_same_files(encoded, checkpoint, names)
+
+    @pytest.mark.parametrize("codec", ["raw", "packed"])
+    def test_checkpoint_after_restore_is_byte_identical(self, tmp_path, codec):
+        live, engine = self.build()
+        source = str(tmp_path / "source")
+        engine.checkpoint(source, codec=codec)
+        again = str(tmp_path / "again")
+        LiveSearchEngine.from_checkpoint(source).checkpoint(again, codec=codec)
+        names = sorted(SegmentReader(source).manifest["files"])
+        assert names == sorted(SegmentReader(again).manifest["files"])
+        self.assert_same_files(source, again, names + ["MANIFEST.json"])
+
+    @pytest.mark.parametrize("codec", ["raw", "packed"])
+    def test_restored_engine_keeps_ingesting_like_the_uninterrupted_one(
+        self, tmp_path, codec
+    ):
+        live, engine = self.build()
+        path = str(tmp_path / "ckpt")
+        engine.checkpoint(path, codec=codec)
+        restored = LiveSearchEngine.from_checkpoint(path)
+        for target in (engine, restored):
+            self.feed(target, target.live, 20, 40, seed=11)
+        for term in self.VOCABULARY:
+            assert restored.live.term_version(term) == live.term_version(term)
+            assert restored.live.term_snapshots(term) == live.term_snapshots(
+                term
+            )
+        queries = self.VOCABULARY + ("storm rain", "flood quake filler")
+        for query in queries:
+            for k in (3, 10):
+                assert ranking(restored.search(query, k=k)) == ranking(
+                    engine.search(query, k=k)
+                )
+        # A stored row keeps its term counts, not its token interleaving.
+        assert [
+            (d.doc_id, d.stream_id, d.timestamp, d.term_counts(), d.event_id)
+            for d in restored.live.ingested_documents()
+        ] == [
+            (d.doc_id, d.stream_id, d.timestamp, d.term_counts(), d.event_id)
+            for d in live.ingested_documents()
+        ]
+        # Both served the same queries since the checkpoint, so their
+        # next checkpoints are the same bytes too.
+        ends = {}
+        for name, target in (("engine", engine), ("restored", restored)):
+            ends[name] = str(tmp_path / name)
+            target.checkpoint(ends[name], codec=codec)
+        names = sorted(SegmentReader(ends["engine"]).manifest["files"])
+        self.assert_same_files(
+            ends["engine"], ends["restored"], names + ["MANIFEST.json"]
+        )
+
+    def tampered(self, tmp_path, name, change):
+        """A checkpoint whose ``name`` was rewritten by ``change`` (a
+        function of the stored value) and whose manifest CRC was
+        re-stamped, so only the restore's own checks can refuse it."""
+        from repro.errors import StoreCorruptionError
+
+        live, engine = self.build()
+        path = str(tmp_path / "tampered")
+        engine.checkpoint(path)
+        reader = SegmentReader(path)
+        manifest = dict(reader.manifest)
+        writer = SegmentWriter(path, fresh=False)
+        if name.endswith(".json"):
+            writer.add_json(name, change(reader.json(name)))
+        else:
+            writer.add_array(name, change(np.array(reader.array(name))))
+        manifest["files"] = {**manifest["files"], **writer._files}
+        rewrite_manifest(path, manifest)
+        SegmentReader(path, verify=True)  # the CRCs hold
+        return path, pytest.raises(StoreCorruptionError, match=name)
+
+    @staticmethod
+    def edit(index, value):
+        def change(array):
+            array[index] = value(array)
+            return array
+
+        return change
+
+    def test_out_of_range_term_code_is_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path,
+            "documents/term_codes.npy",
+            self.edit(0, lambda codes: len(self.VOCABULARY)),
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    def test_negative_term_code_is_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path, "documents/term_codes.npy", self.edit(0, lambda _: -1)
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    def test_out_of_range_stream_code_is_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path, "documents/stream_codes.npy", self.edit(0, lambda _: 5)
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    def test_decreasing_term_indptr_is_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path,
+            "documents/term_indptr.npy",
+            self.edit(1, lambda indptr: indptr[2] + 1),
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    def test_decreasing_timestamps_are_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path,
+            "documents/timestamps.npy",
+            self.edit(0, lambda timestamps: timestamps[-1]),
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    def test_out_of_timeline_timestamp_is_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path, "documents/timestamps.npy", self.edit(-1, lambda _: 40)
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    def test_duplicate_document_id_is_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path,
+            "documents/doc_ids.npy",
+            self.edit(1, lambda doc_ids: doc_ids[0]),
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+
+    def test_watermark_behind_the_last_document_is_refused(self, tmp_path):
+        path, refused = self.tampered(
+            tmp_path,
+            "live/meta.json",
+            lambda meta: {**meta, "watermark": 0},
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
 
 
 class TestPatternCodecProperty:
