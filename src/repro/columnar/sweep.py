@@ -15,8 +15,11 @@ total per stream) and extends a tracker over any run of snapshots
    (:func:`repro.columnar.kernels.running_mean_burstiness`), along with
    one coordinate compression per activation segment;
 2. **batch** — the first R-Bursty rectangle of every segment-batchable
-   snapshot of *every* term is extracted by a single padded-tensor
-   Kadane (:func:`repro.columnar.kernels.batched_first_rectangles`);
+   snapshot of *every* term is extracted by the batched Kadane
+   (:func:`repro.columnar.kernels.batched_first_rectangles`), one call
+   per bucket of grid heights, each padded only to its own largest
+   grid (:func:`_by_height` weighs a call's fixed cost against the
+   padded cells);
    a snapshot is batchable when no active stream's weight is exactly
    zero, so its per-snapshot compression provably equals its segment's
    shared one.  The remaining extractions — unclean first rounds and
@@ -51,6 +54,8 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -541,48 +546,126 @@ def _prepare_term(
     return plan
 
 
-def _scatter_grids(
-    plans: List[_TermPlan], m_pad: int, k_pad: int
-) -> np.ndarray:
-    """Phase 2a: pack every batchable snapshot into one padded tensor.
+#: Cost model of one batched-Kadane call, measured on one core: a fixed
+#: cost per start row, and one per cell its band scans visit.
+_ROW_PASS_S, _CELL_S = 25e-6, 25e-9
 
-    Accumulation follows the legacy order — rows ascending (the
-    sorted-by-repr point order) within each snapshot — via one
-    sequential ``bincount`` per mine call.
+
+def _kadane_cost(height: int, width: int, grids: int) -> float:
+    cells = grids * height * (height + 1) // 2 * (width + 1)
+    return _ROW_PASS_S * height + _CELL_S * cells
+
+
+def _by_height(shapes: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
+    """Indices of ``(rows, columns, grids)`` groups, bucketed by rows.
+
+    Heights are visited tallest first; a height joins the bucket above
+    it when padding its grids there costs less than a call of their
+    own (:func:`_kadane_cost`), so a few short grids ride along instead
+    of paying a call each.  Each bucket lists its indices ascending.
     """
-    total = sum(plan.clean_count for plan in plans)
+    groups: Dict[int, List[int]] = {}
+    for index, (height, _, _) in enumerate(shapes):
+        groups.setdefault(height, []).append(index)
+    buckets: List[List[int]] = []
+    bucket = (0, 0, 0)  # (height, width, grids) of the last bucket
+    for height in sorted(groups, reverse=True):
+        width = max(shapes[index][1] for index in groups[height])
+        grids = sum(shapes[index][2] for index in groups[height])
+        joined = (bucket[0], max(bucket[1], width), bucket[2] + grids)
+        apart = _kadane_cost(*bucket) + _kadane_cost(height, width, grids)
+        if buckets and _kadane_cost(*joined) <= apart:
+            buckets[-1] += groups[height]
+            bucket = joined
+        else:
+            buckets.append(groups[height])
+            bucket = (height, width, grids)
+    return [sorted(indices) for indices in buckets]
+
+
+def _list_grid_buckets(
+    grids: Sequence[List[List[float]]],
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """One ``(indices, tensor)`` per bucket, padded to its largest grid."""
+    shapes = [(len(grid), len(grid[0]), 1) for grid in grids]
+    for indices in _by_height(shapes):
+        height = max(shapes[index][0] for index in indices)
+        width = max(shapes[index][1] for index in indices)
+        tensor = np.zeros((len(indices), height, width))
+        for slot, index in enumerate(indices):
+            grid = grids[index]
+            tensor[slot, : len(grid), : len(grid[0])] = grid
+        yield np.asarray(indices, dtype=np.int64), tensor
+
+
+def _first_rectangles_by_height(
+    count: int,
+    buckets: Iterable[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, ...]:
+    """:func:`~repro.columnar.kernels.batched_first_rectangles` per bucket.
+
+    Each bucket is ``(slots, grids)``: the positions (ascending) its
+    grids hold among ``count``, and their tensor, padded only to the
+    bucket's own shape.  Every grid's result depends on its own slice
+    alone, and padding is inert and tie-safe (see the kernel), so the
+    merged arrays equal one call padded to the global maximum; when a
+    single bucket holds every grid, that one call is all that runs.
+    """
+    merged: Optional[Tuple[np.ndarray, ...]] = None
+    for slots, grids in buckets:
+        result = kernels.batched_first_rectangles(grids)
+        if len(slots) == count:
+            return result
+        if merged is None:
+            merged = tuple(np.zeros(count, column.dtype) for column in result)
+        for column, values in zip(merged, result):
+            column[slots] = values
+    assert merged is not None
+    return merged
+
+
+def _scatter_grids(
+    pieces: Sequence[Tuple[int, _TermPlan, _Segment]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Phase 2a: pack batchable snapshots into one padded tensor.
+
+    ``pieces`` are ``(first slot, plan, segment)``; the tensor is padded
+    to the pieces' largest compression.  Accumulation follows the
+    legacy order — rows ascending (the sorted-by-repr point order)
+    within each snapshot — via one sequential ``bincount``.  Returns
+    the global slot of every grid with the tensor.
+    """
+    m_pad = max(len(segment.cys) for _, _, segment in pieces)
+    k_pad = max(len(segment.cxs) for _, _, segment in pieces)
+    slots: List[np.ndarray] = []
     flat_indices: List[np.ndarray] = []
     flat_values: List[np.ndarray] = []
     offset = 0
-    for plan in plans:
-        for segment in plan.segments:
-            clean = segment.clean_columns
-            if not clean:
-                continue
-            s = len(clean)
-            n_rows = len(segment.rows)
-            weights = plan.burstiness[np.ix_(segment.rows, clean)]
-            cell = (
-                np.asarray(segment.grid_y, dtype=np.int64) * k_pad
-                + np.asarray(segment.grid_x, dtype=np.int64)
-            )
-            base = (offset + np.arange(s, dtype=np.int64)) * (m_pad * k_pad)
-            # Row-major: all of row 0's snapshots, then row 1's, … so
-            # cells shared by several rows accumulate in ascending-row
-            # (sorted-by-repr point) order, matching the legacy grid.
-            flat_indices.append(
-                (base[None, :] + cell[:, None]).reshape(n_rows * s)
-            )
-            flat_values.append(weights.reshape(n_rows * s))
-            offset += s
-    grids = np.zeros(total * m_pad * k_pad)
-    if flat_indices:
-        grids = np.bincount(
-            np.concatenate(flat_indices),
-            weights=np.concatenate(flat_values),
-            minlength=total * m_pad * k_pad,
+    for slot, plan, segment in pieces:
+        clean = segment.clean_columns
+        s = len(clean)
+        n_rows = len(segment.rows)
+        weights = plan.burstiness[np.ix_(segment.rows, clean)]
+        cell = (
+            np.asarray(segment.grid_y, dtype=np.int64) * k_pad
+            + np.asarray(segment.grid_x, dtype=np.int64)
         )
-    return grids.reshape(total, m_pad, k_pad)
+        base = (offset + np.arange(s, dtype=np.int64)) * (m_pad * k_pad)
+        # Row-major: all of row 0's snapshots, then row 1's, … so
+        # cells shared by several rows accumulate in ascending-row
+        # (sorted-by-repr point) order, matching the legacy grid.
+        flat_indices.append(
+            (base[None, :] + cell[:, None]).reshape(n_rows * s)
+        )
+        flat_values.append(weights.reshape(n_rows * s))
+        slots.append(slot + np.arange(s, dtype=np.int64))
+        offset += s
+    grids = np.bincount(
+        np.concatenate(flat_indices),
+        weights=np.concatenate(flat_values),
+        minlength=offset * m_pad * k_pad,
+    )
+    return np.concatenate(slots), grids.reshape(offset, m_pad, k_pad)
 
 
 class _PendingExtraction:
@@ -707,13 +790,8 @@ def _resolve_rectangles(
             grids.append(grid)
         if not round_states:
             break
-        m_pad = max(len(cys) for _, cys in compressions)
-        k_pad = max(len(cxs) for cxs, _ in compressions)
-        tensor = np.zeros((len(grids), m_pad, k_pad))
-        for index, grid in enumerate(grids):
-            tensor[index, : len(grid), : len(grid[0])] = grid
         found_mask, score, y_lo, y_hi, x_lo, x_hi = (
-            kernels.batched_first_rectangles(tensor)
+            _first_rectangles_by_height(len(grids), _list_grid_buckets(grids))
         )
         pending = []
         for index, state in enumerate(round_states):
@@ -924,9 +1002,9 @@ def _advance(
     """Extend many columnar trackers, each through its own horizon.
 
     Per-term matrices are prepared first, every batchable snapshot
-    across *all* terms shares one padded-tensor Kadane, and the scalar
-    finish runs per term.  Each tracker ends byte-equivalent to feeding
-    the same snapshots through
+    across *all* terms joins one batched Kadane per bucket of grid
+    heights, and the scalar finish runs per term.  Each tracker ends
+    byte-equivalent to feeding the same snapshots through
     :meth:`~repro.core.stlocal.STLocalTermTracker.process` one
     timestamp at a time.
     """
@@ -937,17 +1015,26 @@ def _advance(
             plans.append(plan)
     if not plans:
         return
+    pieces = []
+    slot = 0
+    for plan in plans:
+        for segment in plan.segments:
+            if segment.clean_columns:
+                pieces.append((slot, plan, segment))
+                slot += len(segment.clean_columns)
     batch: Optional[Tuple[np.ndarray, ...]] = None
-    sizes = [
-        (len(segment.cys), len(segment.cxs))
-        for plan in plans
-        for segment in plan.segments
-    ]
-    m_pad = max(m for m, _ in sizes)
-    k_pad = max(k for _, k in sizes)
-    grids = _scatter_grids(plans, m_pad, k_pad)
-    if len(grids):
-        batch = kernels.batched_first_rectangles(grids)
+    if pieces:
+        shapes = [
+            (len(segment.cys), len(segment.cxs), len(segment.clean_columns))
+            for _, _, segment in pieces
+        ]
+        batch = _first_rectangles_by_height(
+            slot,
+            (
+                _scatter_grids([pieces[index] for index in indices])
+                for indices in _by_height(shapes)
+            ),
+        )
     for plan, rectangle_map in zip(plans, _resolve_rectangles(plans, batch)):
         _finish_term(plan, rectangle_map)
 

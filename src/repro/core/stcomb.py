@@ -74,17 +74,11 @@ class STComb:
         """
         intervals: List[WeightedInterval] = []
         if isinstance(data, SpatiotemporalCollection):
-            stream_ids = data.stream_ids
-            sequences = {
-                sid: data.frequency_sequence(sid, term) for sid in stream_ids
-            }
-        else:
-            # Anything tensor-like (FrequencyTensor or a synthetic
-            # frequency source) exposing streams_with()/sequence().
-            stream_ids = data.streams_with(term)
-            sequences = {sid: data.sequence(term, sid) for sid in stream_ids}
-        for sid in stream_ids:
-            frequencies = sequences[sid]
+            data = FrequencyTensor(data)
+        # Anything tensor-like (FrequencyTensor or a synthetic frequency
+        # source) exposing streams_with()/sequence().
+        for sid in data.streams_with(term):
+            frequencies = data.sequence(term, sid)
             if not any(frequencies):
                 continue
             for segment in self.detector.detect(frequencies):

@@ -79,9 +79,13 @@ class ServingStats:
 
 @dataclasses.dataclass
 class _TermState:
-    """Per-term sync point between collection, patterns and postings."""
+    """Per-term sync point between collection, patterns and postings.
 
-    patterns: List[RegionalPattern]
+    A restored term's patterns are a view of the checkpoint's
+    ``patterns/`` segment, decoded when first read.
+    """
+
+    patterns: Sequence[RegionalPattern]
     version: int  # LiveCollection.term_version at last sync
 
 

@@ -5,13 +5,15 @@ yet the natural batch usage — mine every term of a corpus — replays the
 whole timeline once per term.  For a multi-term workload that is
 term-major order: ``for term: for timestamp: process``.  This module
 provides the snapshot-major pipeline instead: one sweep over the shared
-:class:`~repro.streams.FrequencyTensor` feeds every term's
+:class:`~repro.streams.FrequencyTensor` — a view of the collection's
+column snapshot — feeds every term's
 :class:`~repro.core.stlocal.STLocalTermTracker` from per-snapshot
 sparse slices, with three structural savings over the term-major loop:
 
 * **shared slicing** — the per-term ``{timestamp: {stream: count}}``
-  views are materialised in one ``O(nnz)`` pass over the tensor instead
-  of ``O(timeline × streams)`` `slice_at` scans per term;
+  views are summed from the term's slice of the snapshot's term-major
+  CSR in ``O(nnz(term))``, only for the terms being mined, instead of
+  ``O(timeline × streams)`` `slice_at` scans per term;
 * **quiet-prefix skip** — a tracker is fast-forwarded to its term's
   first active snapshot (a strict no-op prefix, see
   :meth:`~repro.core.stlocal.STLocalTermTracker.fast_forward`);

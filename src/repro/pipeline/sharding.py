@@ -9,8 +9,9 @@ Because the trackers evaluate streams in a fixed sorted order (immune
 to per-process string-hash randomisation), the merged result is
 bit-identical to a serial sweep.
 
-Everything shipped to a worker must pickle: the tensor (plain dicts),
-the stream locations, and the miner configurations.  A custom
+Everything shipped to a worker must pickle: the tensor (its column
+snapshot: NumPy arrays, lists and dicts), the stream locations, and the
+miner configurations.  A custom
 ``baseline_factory`` must therefore be a module-level callable, not a
 lambda.
 """

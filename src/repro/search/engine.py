@@ -328,7 +328,6 @@ class BurstySearchEngine(_PatternEngineBase):
             strategy=strategy,
         )
         self._patterns = dict(patterns)
-        self._store = None
         self._segments = None
         if precompute:
             self.precompute()
@@ -369,12 +368,10 @@ class BurstySearchEngine(_PatternEngineBase):
         return self._patterns.get(term, ())
 
     def _invalidate_patterns(self) -> None:
-        # The columnar snapshot copies the collection's contents; any
-        # mutation invalidates it together with the posting lists —
-        # and with any attached store segments, which describe the
-        # pre-mutation corpus.  The quarantine list goes with them: it
-        # describes segment columns that no longer back anything.
-        self._store = None
+        # Any mutation invalidates the posting lists together with any
+        # attached store segments, which describe the pre-mutation
+        # corpus.  The quarantine list goes with them: it describes
+        # segment columns that no longer back anything.
         self._segments = None
         self._degraded = {}
 
@@ -443,19 +440,13 @@ class BurstySearchEngine(_PatternEngineBase):
                 return self._index.add(term, [])
         return super()._posting_list(term)
 
-    def _columnar_store(self):
-        if self._store is None:
-            from repro.columnar.collection import ColumnarCollection
-
-            self._store = ColumnarCollection(self.collection)
-        return self._store
-
     def precompute(self, terms: Optional[Sequence[str]] = None) -> int:
         """Build posting lists for many terms in one document sweep.
 
         With the default scoring configuration the sweep is columnar:
-        one :class:`~repro.columnar.collection.ColumnarCollection`
-        snapshot serves every term's postings from its term-major index
+        the collection's :class:`~repro.columnar.collection.
+        ColumnarCollection` snapshot (the one mining and the store
+        writer read) serves every term's postings from its term-major index
         (vectorized overlap masks, cached log-relevance, one stable
         ``lexsort``), byte-identical to the per-document
         :func:`score_posting` loop, which remains the path for custom
@@ -504,7 +495,7 @@ class BurstySearchEngine(_PatternEngineBase):
         if self.aggregate is _default_aggregate and vectorizable_relevance(
             self.relevance
         ):
-            store = self._columnar_store()
+            store = self.collection.columnar()
             for term in pending:
                 posting_list = columnar_postings(
                     store.term_columns(term),

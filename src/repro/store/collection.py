@@ -28,10 +28,11 @@ corpus change and throw the freshly-loaded posting segments away.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from typing import Dict, Hashable, Iterator, List, Optional
 
 from repro.columnar.collection import DocumentColumns
+from repro.errors import StoreCorruptionError, StoreError
 from repro.spatial.geometry import Point
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.document import Document
@@ -48,9 +49,11 @@ class LazyPatternMap(Mapping):
     """term → patterns mapping that decodes its segment on first read.
 
     Pure serving never touches the mined patterns — posting columns are
-    already scored — so a cold start defers the (potentially
-    many-thousand-dataclass) pattern decode until something actually
-    asks for them (``patterns_for``, a posting rebuild, a re-save).
+    already scored — so a cold start or a live restore defers the
+    (potentially many-thousand-dataclass) pattern decode until something
+    actually asks for them (``patterns_for``, a posting rebuild, a
+    re-save or re-checkpoint).  A segment that does not decode raises
+    :class:`~repro.errors.StoreCorruptionError` at that first read.
     """
 
     def __init__(self, reader, prefix: str) -> None:
@@ -62,7 +65,21 @@ class LazyPatternMap(Mapping):
         if self._decoded is None:
             from repro.store.segments import decode_patterns
 
-            _, self._decoded = decode_patterns(self._reader, self._prefix)
+            try:
+                _, self._decoded = decode_patterns(self._reader, self._prefix)
+            except StoreError:
+                raise
+            except (
+                AttributeError,
+                IndexError,
+                KeyError,
+                TypeError,
+                ValueError,
+            ) as exc:
+                raise StoreCorruptionError(
+                    f"store {self._reader.path!r}: {self._prefix}/ segment "
+                    f"does not decode: {exc!r}"
+                ) from exc
         return self._decoded
 
     def __getitem__(self, term: str):
@@ -73,6 +90,33 @@ class LazyPatternMap(Mapping):
 
     def __len__(self) -> int:
         return len(self._load())
+
+    def term_patterns(self, term: str) -> Sequence:
+        """One term's patterns (empty when it has none), decoded when
+        first read."""
+        return _TermPatterns(self, term)
+
+
+class _TermPatterns(Sequence):
+    """A read-only view of one term's entry in a :class:`LazyPatternMap`."""
+
+    __slots__ = ("_source", "_term")
+
+    def __init__(self, source: LazyPatternMap, term: str) -> None:
+        self._source = source
+        self._term = term
+
+    def _patterns(self) -> Sequence:
+        return self._source._load().get(self._term, ())
+
+    def __getitem__(self, index):
+        return self._patterns()[index]
+
+    def __len__(self) -> int:
+        return len(self._patterns())
+
+    def __iter__(self):
+        return iter(self._patterns())
 
 
 class DocumentTable:
@@ -241,37 +285,11 @@ class StoredCollection(SpatiotemporalCollection):
         super().add_document(document)
 
     # -- document-backed reads ------------------------------------------
+    # Every other read (snapshots, frequencies, the column snapshot)
+    # goes through one of these three.
     def documents(self):
         self._materialise()
         return super().documents()
-
-    def documents_matching(self, terms):
-        self._materialise()
-        return super().documents_matching(terms)
-
-    def snapshot(self, timestamp: int):
-        self._materialise()
-        return super().snapshot(timestamp)
-
-    def frequency(self, stream_id, timestamp: int, term: str) -> int:
-        self._materialise()
-        return super().frequency(stream_id, timestamp, term)
-
-    def frequency_sequence(self, stream_id, term: str):
-        self._materialise()
-        return super().frequency_sequence(stream_id, term)
-
-    def frequency_matrix(self, term: str):
-        self._materialise()
-        return super().frequency_matrix(term)
-
-    def merged_frequency_sequence(self, term: str):
-        self._materialise()
-        return super().merged_frequency_sequence(term)
-
-    def terms_at(self, timestamp: int):
-        self._materialise()
-        return super().terms_at(timestamp)
 
     def stream(self, stream_id):
         self._materialise()

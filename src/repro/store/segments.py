@@ -15,10 +15,10 @@ Codecs:
 * **documents** — a :class:`~repro.columnar.collection.
   DocumentColumns` table: doc-id table, stream codes, timestamps, and a
   CSR of int-coded per-document term counts.  Rows keep the writer's
-  order — a batch collection's document iteration order, or a live
-  checkpoint's arrival order (term multiplicity is preserved;
-  intra-document token interleaving, which no algorithm observes, is
-  not).
+  order — a batch collection's column snapshot (document iteration
+  order), or a live checkpoint's arrival order (term multiplicity is
+  preserved; intra-document token interleaving, which no algorithm
+  observes, is not).
 * **postings** — per-term :class:`~repro.columnar.postings.
   PostingArray` columns as one CSR over a shared doc-id table, plus a
   *shadow* CSR for random-access-only entries (documents a
@@ -37,9 +37,20 @@ Codecs:
 
 from __future__ import annotations
 
+import itertools
 import os
 import zlib
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -59,7 +70,6 @@ from repro.store.format import (
     decode_id_column,
     encode_id_column,
 )
-from repro.streams.document import Document
 from repro.temporal.baselines import RunningMeanBaseline
 from repro.temporal.max_segments import OnlineMaxSegments
 
@@ -69,7 +79,6 @@ __all__ = [
     "decode_posting_list",
     "decode_trackers",
     "encode_config",
-    "encode_documents",
     "encode_patterns",
     "encode_posting_lists",
     "encode_trackers",
@@ -91,6 +100,30 @@ def _ordered_ids(values) -> List[Hashable]:
     for value in ordered:
         _check_json_id(value)
     return ordered
+
+
+def _ids_lister(id_sets: Sequence[Iterable[Hashable]]) -> Callable:
+    """:func:`_ordered_ids` for many sets, set up once for all of them.
+
+    When every id is a ``str``, an ``int`` or ``None`` — the types whose
+    equal values share one ``repr`` — each distinct id is ``repr``-ed
+    once, ranked, and every set is sorted by that rank: the same order
+    as sorting by ``repr``, with no per-element check left to do.  Any
+    other mix (``1 == 1.0 == True``, ``0.0 == -0.0``, or an id the
+    check refuses) falls back to :func:`_ordered_ids` per set, which
+    raises at the same id it always did.
+    """
+    types = set()
+    for ids in id_sets:
+        types.update(map(type, ids))
+    if not types <= {str, int, type(None)}:
+        return _ordered_ids
+    distinct = dict.fromkeys(itertools.chain.from_iterable(id_sets))
+    reprs = {value: repr(value) for value in distinct}
+    texts = sorted(set(reprs.values()))
+    rank = {text: place for place, text in enumerate(texts)}
+    rank_of = {value: rank[text] for value, text in reprs.items()}.__getitem__
+    return lambda ids: sorted(ids, key=rank_of)
 
 
 def _check_json_id(value: Hashable) -> None:
@@ -123,57 +156,6 @@ def _read_id_column(
 # ----------------------------------------------------------------------
 # Documents / collection
 # ----------------------------------------------------------------------
-def encode_documents(
-    writer: SegmentWriter,
-    prefix: str,
-    timeline: int,
-    locations: Dict[Hashable, Point],
-    documents: Sequence[Document],
-) -> None:
-    """Persist a document table plus the stream table under ``prefix``.
-
-    ``documents`` order is authoritative: batch stores pass
-    ``collection.documents()`` order and decoding replays it.  Live
-    checkpoints hand their arrival-order table straight to
-    :func:`write_document_columns`, which writes the same bytes.
-    """
-    stream_code = {sid: code for code, sid in enumerate(locations)}
-    vocabulary: Dict[str, int] = {}
-    doc_ids: List[Hashable] = []
-    stream_codes: List[int] = []
-    timestamps: List[int] = []
-    indptr: List[int] = [0]
-    term_codes: List[int] = []
-    term_counts: List[int] = []
-    event_ids: Dict[str, Hashable] = {}
-    for row, document in enumerate(documents):
-        doc_ids.append(document.doc_id)
-        stream_codes.append(stream_code[document.stream_id])
-        timestamps.append(document.timestamp)
-        for term, count in document.term_counts().items():
-            term_codes.append(vocabulary.setdefault(term, len(vocabulary)))
-            term_counts.append(count)
-        indptr.append(len(term_codes))
-        if document.event_id is not None:
-            event_ids[str(row)] = document.event_id
-    write_document_columns(
-        writer,
-        prefix,
-        timeline,
-        locations,
-        DocumentColumns(
-            doc_ids=doc_ids,
-            stream_codes=np.asarray(stream_codes, dtype="<i8"),
-            timestamps=np.asarray(timestamps, dtype="<i8"),
-            term_indptr=np.asarray(indptr, dtype="<i8"),
-            term_codes=np.asarray(term_codes, dtype="<i8"),
-            term_counts=np.asarray(term_counts, dtype="<i8"),
-            vocabulary=list(vocabulary),
-            event_ids=event_ids,
-        ),
-    )
-
-
 def write_document_columns(
     writer: SegmentWriter,
     prefix: str,
@@ -672,14 +654,27 @@ def encode_patterns(
     scores: List[float] = []
     member_frames: List[Tuple[int, int]] = []
     member_scores: List[float] = []
+    ordered = _ids_lister(
+        [
+            ids
+            for term_patterns in patterns.values()
+            for pattern in term_patterns
+            for ids in (
+                (pattern.streams, pattern.bursty_streams or ())
+                if pattern_type == "regional"
+                else (
+                    pattern.streams,
+                    [member[0] for member in pattern.member_intervals],
+                )
+            )
+        ]
+    )
     for term, term_patterns in patterns.items():
         entries = []
         for pattern in term_patterns:
             frames.append((pattern.timeframe.start, pattern.timeframe.end))
             scores.append(pattern.score)
-            entry: Dict[str, Any] = {
-                "streams": _ordered_ids(pattern.streams)
-            }
+            entry: Dict[str, Any] = {"streams": ordered(pattern.streams)}
             if pattern_type == "regional":
                 region = pattern.region
                 geometry.append(
@@ -688,12 +683,13 @@ def encode_patterns(
                 entry["bursty"] = (
                     None
                     if pattern.bursty_streams is None
-                    else _ordered_ids(pattern.bursty_streams)
+                    else ordered(pattern.bursty_streams)
                 )
             else:
                 members = []
                 for sid, interval, score in pattern.member_intervals:
-                    _check_json_id(sid)
+                    if ordered is _ordered_ids:
+                        _check_json_id(sid)
                     member_frames.append((interval.start, interval.end))
                     member_scores.append(score)
                     members.append(sid)

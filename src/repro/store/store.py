@@ -47,7 +47,6 @@ from repro.store.segments import (
     decode_patterns,
     decode_trackers,
     encode_config,
-    encode_documents,
     encode_patterns,
     encode_posting_lists,
     encode_trackers,
@@ -102,15 +101,31 @@ def save_patterns(
     meta["terms"] = list(terms) if terms is not None else list(patterns)
     meta["trackers"] = False
     if trackers and locations is not None and trackers_persistable(trackers):
-        encode_documents_streams_only(writer, "trackers_streams", locations)
+        _write_stream_table(writer, "trackers_streams", locations)
         encode_trackers(writer, "trackers", trackers)
         meta["trackers"] = True
     writer.commit("patterns", meta)
 
 
-def encode_documents_streams_only(writer, prefix, locations) -> None:
+def _write_stream_table(writer, prefix, locations) -> None:
     """Persist just a stream table (for tracker-only segments)."""
-    encode_documents(writer, prefix, 0, locations, [])
+    empty = np.zeros(0, dtype="<i8")
+    write_document_columns(
+        writer,
+        prefix,
+        0,
+        locations,
+        DocumentColumns(
+            doc_ids=[],
+            stream_codes=empty,
+            timestamps=empty,
+            term_indptr=np.zeros(1, dtype="<i8"),
+            term_codes=empty,
+            term_counts=empty,
+            vocabulary=[],
+            event_ids={},
+        ),
+    )
 
 
 def load_patterns(path: StoreLike, **open_kwargs) -> Dict[str, List]:
@@ -260,12 +275,12 @@ def save_search_index(
     engine.precompute()
     writer = SegmentWriter(path)
     collection = engine.collection
-    encode_documents(
+    write_document_columns(
         writer,
         "documents",
         collection.timeline,
         collection.locations(),
-        list(collection.documents()),
+        collection.columnar().document_columns(),
     )
     patterns = {
         term: list(mined) for term, mined in engine._patterns.items() if mined
@@ -709,7 +724,10 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
     and a stored row becomes a :class:`~repro.streams.Document` only
     when a caller asks for it — after one vectorised consistency check
     of the columns (:class:`~repro.errors.StoreCorruptionError` on any
-    contradiction).  Restore then starts a fresh tracker feeder (each
+    contradiction).  Each term's patterns stay in the stored segment
+    until first read (:class:`~repro.store.collection.LazyPatternMap`:
+    ``patterns_for`` or a re-checkpoint decodes them, a stale sync
+    re-mines without them).  Restore then starts a fresh tracker feeder (each
     term's tracker is rebuilt from the documents on its first stale
     sync), resets the serving statistics and clears the result cache —
     counters and cached rankings describe the *previous* backing index,
@@ -720,7 +738,7 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
     """
     from repro.live.collection import LiveCollection
     from repro.live.engine import _TermState, ServingStats
-    from repro.store.collection import DocumentTable
+    from repro.store.collection import DocumentTable, LazyPatternMap
 
     store = open_store(path)
     if store.kind != "live":
@@ -762,12 +780,12 @@ def restore_live_checkpoint(path: StoreLike, engine) -> None:
     segment = PostingSegment(store, "postings")
     postings = {term: segment.posting_array(term) for term in segment.terms}
 
-    _, patterns = decode_patterns(store, "patterns")
+    patterns = LazyPatternMap(store, "patterns")
     states = {}
     for state in live_meta["states"]:
         term = state["term"]
         states[term] = _TermState(
-            patterns=list(patterns.get(term, [])),
+            patterns=patterns.term_patterns(term),
             version=int(state["version"]),
         )
 

@@ -18,6 +18,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TYPE_CHECKING,
 )
 
 import numpy as np
@@ -26,6 +27,9 @@ from repro.errors import StreamError, UnknownTermError
 from repro.spatial.geometry import Point
 from repro.streams.document import Document
 from repro.streams.stream import DocumentStream
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columnar.collection import ColumnarCollection
 
 __all__ = ["SpatiotemporalCollection"]
 
@@ -50,6 +54,8 @@ class SpatiotemporalCollection:
         self._document_count = 0
         self._version = 0
         self._listeners: List[Callable[[Document], None]] = []
+        self._columnar: Optional["ColumnarCollection"] = None
+        self._columnar_version = -1
 
     # ------------------------------------------------------------------
     # Mutation tracking
@@ -63,6 +69,21 @@ class SpatiotemporalCollection:
         that its derived view has gone stale.
         """
         return self._version
+
+    def columnar(self) -> "ColumnarCollection":
+        """The column snapshot of the current version, built once.
+
+        Mining (:class:`~repro.streams.FrequencyTensor`), posting
+        construction and the store writer all read this one table; a
+        mutation bumps :attr:`version`, and the next call builds a new
+        snapshot while earlier ones stay as they were.
+        """
+        if self._columnar is None or self._columnar_version != self._version:
+            from repro.columnar.collection import ColumnarCollection
+
+            snapshot = ColumnarCollection(self)
+            self._columnar, self._columnar_version = snapshot, self._version
+        return self._columnar
 
     def subscribe(self, listener: Callable[[Document], None]) -> None:
         """Register a callback invoked after every document append.
@@ -158,8 +179,8 @@ class SpatiotemporalCollection:
     def snapshot(self, timestamp: int) -> Dict[Hashable, List[Document]]:
         """``D[i]`` — the document sets of every stream at ``timestamp``."""
         return {
-            sid: stream.documents_at(timestamp)
-            for sid, stream in self._streams.items()
+            stream.stream_id: stream.documents_at(timestamp)
+            for stream in self.streams()
         }
 
     def frequency(self, stream_id: Hashable, timestamp: int, term: str) -> int:
@@ -168,7 +189,10 @@ class SpatiotemporalCollection:
 
     def frequency_sequence(self, stream_id: Hashable, term: str) -> List[float]:
         """One stream's full frequency sequence for a term."""
-        return self.stream(stream_id).frequency_sequence(term, self.timeline)
+        from repro.streams.frequency import FrequencyTensor
+
+        self.stream(stream_id)  # unknown streams raise
+        return FrequencyTensor(self).sequence(term, stream_id)
 
     def frequency_matrix(self, term: str) -> np.ndarray:
         """``(n_streams, timeline)`` matrix of a term's frequencies.
@@ -180,10 +204,14 @@ class SpatiotemporalCollection:
         """
         if term not in self._vocabulary:
             raise UnknownTermError(term)
-        matrix = np.zeros((len(self._streams), self.timeline), dtype=float)
-        for row, stream in enumerate(self._streams.values()):
-            for timestamp in stream.timestamps():
-                matrix[row, timestamp] = stream.frequency(timestamp, term)
+        columns = self.columnar()
+        rows = columns.doc_rows(term)
+        matrix = np.zeros((len(columns.stream_ids), self.timeline))
+        np.add.at(
+            matrix,
+            (columns.stream_codes[rows], columns.timestamps[rows]),
+            columns.frequencies(term),
+        )
         return matrix
 
     def merged_frequency_sequence(self, term: str) -> List[float]:
@@ -192,16 +220,22 @@ class SpatiotemporalCollection:
         This is the single-stream view that the TB baseline (temporal-
         burstiness-only search, Section 6.3) operates on.
         """
-        totals = [0.0] * self.timeline
-        for stream in self._streams.values():
-            for timestamp in stream.timestamps():
-                totals[timestamp] += stream.frequency(timestamp, term)
-        return totals
+        columns = self.columnar()
+        # ``astype``: an empty ``bincount`` comes back as integers.
+        return (
+            np.bincount(
+                columns.timestamps[columns.doc_rows(term)],
+                weights=columns.frequencies(term),
+                minlength=self.timeline,
+            )
+            .astype(float)
+            .tolist()
+        )
 
     def terms_at(self, timestamp: int) -> Set[str]:
         """Every distinct term observed anywhere at one timestamp."""
         terms: Set[str] = set()
-        for stream in self._streams.values():
+        for stream in self.streams():
             terms.update(stream.terms_at(timestamp))
         return terms
 

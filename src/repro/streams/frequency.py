@@ -1,16 +1,20 @@
-"""Sparse per-term frequency tensors.
+"""Per-term frequency views over a collection's column snapshot.
 
 STComb and STLocal only ever need, for one term at a time, either a
 per-stream frequency sequence or a per-timestamp cross-stream slice.
 Building the dense ``(streams × timeline)`` matrix per term is wasteful
-for large vocabularies, so this module provides a sparse view —
-``term → stream → {timestamp: count}`` — built in one pass over the
-collection, that both algorithms read from.
+for large vocabularies, so this module answers both from the term's
+slice of the collection's term-major CSR
+(:class:`~repro.columnar.collection.ColumnarCollection`, memoized per
+collection version): a term costs ``O(nnz(term))`` when it is read, and
+nothing when it is not.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterator, List, Set, Tuple
+
+import numpy as np
 
 from repro.streams.collection import SpatiotemporalCollection
 
@@ -18,85 +22,118 @@ __all__ = ["FrequencyTensor"]
 
 
 class FrequencyTensor:
-    """One-pass sparse index of term frequencies by stream and time.
+    """Sparse term frequencies by stream and time, as a read-only view.
 
     Args:
-        collection: The source collection; frequencies are copied, so
-            later mutation of the collection is not reflected.
+        collection: The source collection.  The view reads the column
+            snapshot of the collection's current version, so later
+            mutation of the collection is not reflected.
     """
 
     def __init__(self, collection: SpatiotemporalCollection) -> None:
+        self._columns = collection.columnar()
         self.timeline = collection.timeline
-        self.stream_ids: List[Hashable] = collection.stream_ids
-        # term -> stream_id -> {timestamp: count}
-        self._data: Dict[str, Dict[Hashable, Dict[int, float]]] = {}
-        self._term_totals: Dict[str, float] = {}
-        for stream in collection.streams():
-            sid = stream.stream_id
-            for timestamp in stream.timestamps():
-                for term in stream.terms_at(timestamp):
-                    count = float(stream.frequency(timestamp, term))
-                    per_stream = self._data.setdefault(term, {})
-                    per_stream.setdefault(sid, {})[timestamp] = count
-                    self._term_totals[term] = (
-                        self._term_totals.get(term, 0.0) + count
-                    )
+        self.stream_ids: List[Hashable] = list(self._columns.stream_ids)
+
+    def _cells(self, term: str) -> Tuple[List[int], List[int], List[float]]:
+        """The term's non-zero ``(stream code, timestamp, count)`` cells,
+        in (stream, time) order — the order rows run in."""
+        columns = self._columns
+        rows = columns.doc_rows(term)
+        keys, cell = np.unique(
+            columns.stream_codes[rows] * self.timeline
+            + columns.timestamps[rows],
+            return_inverse=True,
+        )
+        sums = np.bincount(
+            cell.reshape(-1),
+            weights=columns.frequencies(term),
+            minlength=len(keys),
+        )
+        codes, times = np.divmod(keys, self.timeline)
+        return codes.tolist(), times.tolist(), sums.tolist()
 
     # ------------------------------------------------------------------
     @property
     def terms(self) -> Set[str]:
         """All indexed terms."""
-        return set(self._data)
+        return set(self._columns.vocabulary)
 
     def total(self, term: str) -> float:
         """Total mass of a term across the whole collection."""
-        return self._term_totals.get(term, 0.0)
+        return float(self._columns.frequencies(term).sum())
 
     def streams_with(self, term: str) -> List[Hashable]:
         """Streams in which the term occurs at least once."""
-        return list(self._data.get(term, {}))
+        columns = self._columns
+        codes = np.unique(columns.stream_codes[columns.doc_rows(term)])
+        return [self.stream_ids[code] for code in codes.tolist()]
 
     def sequence(self, term: str, stream_id: Hashable) -> List[float]:
         """The term's dense frequency sequence for one stream."""
-        sparse = self._data.get(term, {}).get(stream_id, {})
-        dense = [0.0] * self.timeline
-        for timestamp, count in sparse.items():
-            dense[timestamp] = count
-        return dense
+        columns = self._columns
+        code = columns.stream_code.get(stream_id)
+        if code is None:
+            return [0.0] * self.timeline
+        rows = columns.doc_rows(term)
+        mine = columns.stream_codes[rows] == code
+        # ``astype``: an empty ``bincount`` comes back as integers.
+        return (
+            np.bincount(
+                columns.timestamps[rows][mine],
+                weights=columns.frequencies(term)[mine],
+                minlength=self.timeline,
+            )
+            .astype(float)
+            .tolist()
+        )
 
     def slice_at(self, term: str, timestamp: int) -> Dict[Hashable, float]:
         """Non-zero frequencies of a term across streams at one time."""
-        result: Dict[Hashable, float] = {}
-        for sid, sparse in self._data.get(term, {}).items():
-            count = sparse.get(timestamp)
-            if count:
-                result[sid] = count
-        return result
+        columns = self._columns
+        rows = columns.doc_rows(term)
+        at = columns.timestamps[rows] == timestamp
+        sums = np.bincount(
+            columns.stream_codes[rows][at],
+            weights=columns.frequencies(term)[at],
+        )
+        codes = np.flatnonzero(sums)
+        return dict(
+            zip(
+                [self.stream_ids[code] for code in codes.tolist()],
+                sums[codes].tolist(),
+            )
+        )
 
     def nonzero(self, term: str) -> Iterator[Tuple[Hashable, int, float]]:
         """Iterate ``(stream, timestamp, count)`` entries of a term."""
-        for sid, sparse in self._data.get(term, {}).items():
-            for timestamp, count in sparse.items():
-                yield sid, timestamp, count
+        for code, timestamp, count in zip(*self._cells(term)):
+            yield self.stream_ids[code], timestamp, count
 
     def term_snapshots(self, term: str) -> Dict[int, Dict[Hashable, float]]:
         """All non-empty per-timestamp slices of a term at once.
 
         Equivalent to ``{t: slice_at(term, t)}`` restricted to non-empty
-        slices, but built in ``O(nnz(term))`` instead of scanning every
-        stream at every timestamp — the access pattern of the
-        snapshot-major :class:`repro.pipeline.BatchMiner` sweep.
+        slices, in ``O(nnz(term))``: one ``unique`` + ``bincount`` over
+        the term's CSR slice.  Timestamps are keyed in the order the
+        (stream, time) cells first reach them, and streams in
+        registration order within a timestamp — the access pattern of
+        the snapshot-major :class:`repro.pipeline.BatchMiner` sweep.
         """
         snapshots: Dict[int, Dict[Hashable, float]] = {}
-        for sid, sparse in self._data.get(term, {}).items():
-            for timestamp, count in sparse.items():
-                if count:
-                    snapshots.setdefault(timestamp, {})[sid] = count
+        stream_ids = self.stream_ids
+        for code, timestamp, count in zip(*self._cells(term)):
+            slice_ = snapshots.get(timestamp)
+            if slice_ is None:
+                slice_ = snapshots[timestamp] = {}
+            slice_[stream_ids[code]] = count
         return snapshots
 
     def top_terms(self, k: int) -> List[Tuple[str, float]]:
         """The ``k`` heaviest terms by total mass (descending)."""
+        columns = self._columns
         ranked = sorted(
-            self._term_totals.items(), key=lambda item: (-item[1], item[0])
+            zip(columns.vocabulary, columns.term_totals().tolist()),
+            key=lambda item: (-item[1], item[0]),
         )
         return ranked[:k]

@@ -100,6 +100,45 @@ def build_corpus(seed, n_streams=9, timeline=28, n_terms=4):
     return collection
 
 
+def build_mixed_shape_corpus(seed, side=6, timeline=30, n_terms=6):
+    """Each term chats and bursts inside its own band of lattice rows
+    (1 to ``side`` rows tall), so its snapshot grids have the band's
+    height."""
+    rng = random.Random(seed)
+    collection = SpatiotemporalCollection(timeline=timeline)
+    for i in range(side * side):
+        collection.add_stream(
+            f"s{i:02d}", Point(float(i % side), float(i // side) * 1.5)
+        )
+    doc_id = 0
+    for index in range(n_terms):
+        term = f"t{index}"
+        height = 1 + index % side
+        top = rng.randint(0, side - height)
+        band = [
+            f"s{row * side + col:02d}"
+            for row in range(top, top + height)
+            for col in range(side)
+        ]
+        for _ in range(rng.randint(20, 60)):
+            collection.add_document(
+                Document(
+                    doc_id,
+                    rng.choice(band),
+                    rng.randint(0, timeline - 1),
+                    (term,) * rng.randint(1, 2),
+                )
+            )
+            doc_id += 1
+        start = rng.randint(0, timeline - 6)
+        members = {rng.choice(band) for _ in range(4)}
+        for t in range(start, start + rng.randint(2, 5)):
+            for member in sorted(members):
+                collection.add_document(Document(doc_id, member, t, (term,)))
+                doc_id += 1
+    return collection
+
+
 def replay_patterns(stlocal, tensor, terms, locations, truncate_tails=True):
     """The per-snapshot replay's patterns, shaped like ``mine_regional``."""
     trackers = replay_trackers(
@@ -344,6 +383,34 @@ class TestMiningDifferential:
             BatchMiner(stlocal=stlocal).mine_regional(tensor, terms, locations)
         ) == repr(replay_patterns(stlocal, tensor, terms, locations))
 
+    def test_mixed_shape_corpus_mines_like_the_replay(self, monkeypatch):
+        """Terms confined to bands of different heights give the sweep
+        grids of several shapes in one call; bucketing them by height
+        must not change a pattern."""
+        import repro.columnar.sweep as sweep
+
+        splits = []
+        merge = sweep._first_rectangles_by_height
+
+        def recording(count, buckets):
+            buckets = list(buckets)
+            splits.append(len(buckets))
+            return merge(count, iter(buckets))
+
+        monkeypatch.setattr(sweep, "_first_rectangles_by_height", recording)
+        for seed in range(4):
+            collection = build_mixed_shape_corpus(seed)
+            tensor = FrequencyTensor(collection)
+            locations = collection.locations()
+            terms = sorted(tensor.terms)
+            stlocal = STLocal()
+            assert repr(
+                BatchMiner(stlocal=stlocal).mine_regional(
+                    tensor, terms, locations
+                )
+            ) == repr(replay_patterns(stlocal, tensor, terms, locations)), seed
+        assert max(splits) > 1  # some call merged several buckets
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_property_random_corpora(self, seed):
@@ -473,6 +540,77 @@ class TestDiscrepancyDifferential:
             grid = grids[i]
             xs = None  # bounds are grid indices here; compare via score
             assert float(score[i]) == single[0]
+
+
+@st.composite
+def mixed_grid(draw):
+    """One snapshot grid of any shape up to 6×6: all-zero, negative-only,
+    random, or with tied maxima on its last real row and column."""
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["zero", "negative", "tied", "random"]))
+    if kind == "zero":
+        return [[0.0] * k for _ in range(m)]
+    if kind == "negative":
+        cell = st.sampled_from([-0.5, -1.0, -3.0])
+        return [[draw(cell) for _ in range(k)] for _ in range(m)]
+    grid = [[draw(weights) for _ in range(k)] for _ in range(m)]
+    if kind == "tied":
+        # Equal single-cell peaks behind negative walls: the winner is
+        # decided by the scan order alone, and two of the peaks sit on
+        # the last real row and column, next to any padding.
+        peak = draw(st.sampled_from([1.0, 2.5]))
+        grid = [[-4.0] * k for _ in range(m)]
+        grid[m - 1][k - 1] = peak
+        grid[m - 1][0] = peak
+        grid[0][k - 1] = peak
+    return grid
+
+
+class TestBucketedKadane:
+    @staticmethod
+    def padded(grids, m_pad, k_pad):
+        tensor = np.zeros((len(grids), m_pad, k_pad))
+        for index, grid in enumerate(grids):
+            tensor[index, : len(grid), : len(grid[0])] = grid
+        return tensor
+
+    @settings(max_examples=120, deadline=None)
+    @given(grids=st.lists(mixed_grid(), min_size=1, max_size=12))
+    def test_buckets_return_what_one_padded_call_returns(self, grids):
+        from repro.columnar.sweep import (
+            _first_rectangles_by_height,
+            _list_grid_buckets,
+        )
+
+        expected = batched_first_rectangles(
+            self.padded(
+                grids,
+                max(len(grid) for grid in grids),
+                max(len(grid[0]) for grid in grids),
+            )
+        )
+        # One bucket per exact height (the finest split) and the
+        # shipped cost-model buckets must both merge back to it.
+        heights = {}
+        for index, grid in enumerate(grids):
+            heights.setdefault(len(grid), []).append(index)
+        exact = (
+            (
+                np.asarray(indices),
+                self.padded(
+                    [grids[index] for index in indices],
+                    height,
+                    max(len(grids[index][0]) for index in indices),
+                ),
+            )
+            for height, indices in heights.items()
+        )
+        for buckets in (exact, _list_grid_buckets(grids)):
+            merged = _first_rectangles_by_height(len(grids), buckets)
+            for want, got in zip(expected, merged):
+                assert want.dtype == got.dtype
+                assert np.array_equal(want, got)
 
 
 # ----------------------------------------------------------------------

@@ -62,6 +62,7 @@ from repro.store.segments import (
     encode_trackers,
 )
 
+from oracles.documents import encode_documents
 from oracles.postings import PostingList
 
 
@@ -310,6 +311,64 @@ class TestNonIntDocIds:
                     loaded.search(term, k=8, strategy=strategy)
                 ) == ranking(engine.search(term, k=8, strategy=strategy))
         verify_store(path)
+
+
+class TestIndexDocumentColumns:
+    """An index save writes ``documents/`` from the collection's column
+    snapshot; the bytes must be the per-document encoder's."""
+
+    @staticmethod
+    def encoded(path, collection):
+        writer = SegmentWriter(path)
+        encode_documents(
+            writer,
+            "documents",
+            collection.timeline,
+            collection.locations(),
+            list(collection.documents()),
+        )
+        writer.commit("documents")
+        return path
+
+    @staticmethod
+    def documents_files(path):
+        files = {}
+        for name in sorted(SegmentReader(path).manifest["files"]):
+            if name.startswith("documents/"):
+                with open(os.path.join(path, name), "rb") as handle:
+                    files[name] = handle.read()
+        return files
+
+    @pytest.mark.parametrize("codec", ["raw", "packed"])
+    def test_saved_documents_equal_the_encoder_bytes(self, tmp_path, codec):
+        collection = build_collection(seed=5, doc_ids="mixed")
+        for doc_id, sid, terms, event in (
+            ("ev-1", "s1", ("quake", "aftershock", "quake"), "e1"),
+            ("ev-2", "s0", ("storm",), 7),
+        ):
+            collection.add_document(
+                Document(doc_id, sid, 3, terms, event_id=event)
+            )
+        engine = BurstySearchEngine(
+            collection, BatchMiner().mine_regional(collection)
+        )
+        first = str(tmp_path / "index")
+        engine.save(first, codec=codec)
+        saved = self.documents_files(first)
+        assert saved == self.documents_files(
+            self.encoded(str(tmp_path / "encoded"), collection)
+        )
+
+        # A save after a mutation writes the mutated table: the column
+        # snapshot is rebuilt for the collection's new version.
+        collection.add_document(Document("late", "s2", 20, ("storm", "late")))
+        second = str(tmp_path / "again")
+        engine.save(second, codec=codec)
+        resaved = self.documents_files(second)
+        assert resaved == self.documents_files(
+            self.encoded(str(tmp_path / "encoded-after"), collection)
+        )
+        assert resaved != saved
 
 
 @pytest.mark.parametrize("codec", ["raw", "packed"])
@@ -829,8 +888,6 @@ class TestLiveCheckpointColumns:
 
     @pytest.mark.parametrize("codec", ["raw", "packed"])
     def test_documents_segment_equals_encode_documents(self, tmp_path, codec):
-        from repro.store.segments import encode_documents
-
         live, engine = self.build()
         checkpoint = str(tmp_path / "ckpt")
         engine.checkpoint(checkpoint, codec=codec)
@@ -989,6 +1046,46 @@ class TestLiveCheckpointColumns:
         with refused:
             LiveSearchEngine.from_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "name, change",
+        [
+            ("patterns/frames.npy", lambda frames: frames[:-1]),
+            (
+                "patterns/meta.json",
+                lambda meta: {
+                    **meta,
+                    "terms": [
+                        {
+                            **entry,
+                            "patterns": [
+                                {**pattern, "streams": [["s0"]]}
+                                for pattern in entry["patterns"]
+                            ],
+                        }
+                        for entry in meta["terms"]
+                    ],
+                },
+            ),
+        ],
+    )
+    def test_undecodable_patterns_are_refused_at_first_read(
+        self, tmp_path, name, change
+    ):
+        from repro.errors import StoreCorruptionError
+
+        path, _ = self.tampered(tmp_path, name, change)
+        # Restore leaves the patterns segment unread ...
+        restored = LiveSearchEngine.from_checkpoint(path)
+        term = next(
+            term
+            for term, state in restored._states.items()
+            if restored.live.term_version(term) == state.version
+        )
+        # ... and the first read refuses it with the typed error.
+        with pytest.raises(StoreCorruptionError, match="patterns/"):
+            restored.patterns_for(term)
+        with pytest.raises(StoreCorruptionError, match="patterns/"):
+            restored.checkpoint(str(tmp_path / "again"))
 
     def test_watermark_behind_the_last_document_is_refused(self, tmp_path):
         path, refused = self.tampered(
@@ -998,6 +1095,57 @@ class TestLiveCheckpointColumns:
         )
         with refused:
             LiveSearchEngine.from_checkpoint(path)
+
+
+class TestPatternIdOrder:
+    """``encode_patterns`` ranks every distinct stream id once per call;
+    each set must come out exactly as ``sorted(ids, key=repr)``, which is
+    what the JSON skeleton always held."""
+
+    ids = st.one_of(
+        st.text(max_size=3),
+        st.integers(-3, 12),
+        st.none(),
+        st.booleans(),
+        st.floats(allow_nan=True, allow_infinity=False, width=16),
+    )
+
+    @given(
+        id_sets=st.lists(st.frozensets(ids, max_size=6), min_size=1, max_size=6)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lister_orders_like_sorting_by_repr(self, id_sets):
+        from repro.store.segments import _ids_lister
+
+        ordered = _ids_lister(id_sets)
+        for ids in id_sets:
+            assert ordered(ids) == sorted(ids, key=repr)
+
+    def test_str_int_and_none_ids_take_the_ranked_path(self):
+        from repro.store.segments import _ids_lister
+
+        sets = [frozenset({"b", 2, None, "a"}), frozenset({10, "10", 1})]
+        ordered = _ids_lister(sets)
+        assert [ordered(ids) for ids in sets] == [
+            sorted(ids, key=repr) for ids in sets
+        ]
+
+    @pytest.mark.parametrize("bad", [("city", 1), b"raw"])
+    def test_non_scalar_id_is_refused_once_per_call(self, tmp_path, bad):
+        from repro.core.patterns import RegionalPattern
+        from repro.intervals.interval import Interval
+        from repro.spatial.geometry import Rectangle
+
+        pattern = RegionalPattern(
+            term="quake",
+            region=Rectangle(0.0, 0.0, 1.0, 1.0),
+            streams=frozenset({"ok", bad}),
+            timeframe=Interval(1, 2),
+            score=1.0,
+        )
+        writer = SegmentWriter(str(tmp_path / "patterns"))
+        with pytest.raises(StoreError, match="not persistable"):
+            encode_patterns(writer, "patterns", {"quake": [pattern]}, "regional")
 
 
 class TestPatternCodecProperty:

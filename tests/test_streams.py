@@ -236,3 +236,112 @@ class TestFrequencyTensor:
         tensor, coll = self._tensor()
         coll.add_document(Document(3, "us", 3, ("a",)))
         assert tensor.total("a") == 3.0  # copy semantics
+
+
+def topix_collection():
+    from repro.datagen import MAJOR_EVENTS, CorpusSettings, generate_topix_corpus
+
+    return generate_topix_corpus(
+        CorpusSettings(
+            n_countries=20,
+            timeline=12,
+            background_rate=1.0,
+            events=MAJOR_EVENTS[:3],
+            seed=7,
+        )
+    ).collection
+
+
+def ambient_collection(seed=3, side=5, timeline=40, n_terms=6):
+    """Single-term chatter over a stream grid, one compact burst per term,
+    documents added in arrival (time) order rather than stream order."""
+    import random
+
+    rng = random.Random(seed)
+    collection = SpatiotemporalCollection(timeline=timeline)
+    for i in range(side * side):
+        collection.add_stream(f"s{i:02d}", Point(i % side * 5.0, i // side * 5.0))
+    records = []
+    for index in range(n_terms):
+        term = f"topic{index}"
+        start = rng.randint(0, timeline - 10)
+        for _ in range(120):
+            records.append(
+                (rng.randint(0, timeline - 1), f"s{rng.randrange(side * side):02d}", term)
+            )
+        for t in range(start, start + 5):
+            for _ in range(6):
+                records.append((t, f"s{rng.randrange(3):02d}", term))
+    records.sort(key=lambda record: record[0])
+    for doc_id, (t, sid, term) in enumerate(records):
+        collection.add_document(Document(doc_id, sid, t, (term,) * (1 + doc_id % 3)))
+    return collection
+
+
+class TestFrequencyTensorOracle:
+    """The CSR view reads exactly like the dict-of-dicts tensor it replaced."""
+
+    @staticmethod
+    def assert_matches(view, oracle, collection):
+        assert view.terms == oracle.terms
+        assert list(view.terms) == list(oracle.terms)
+        assert view.stream_ids == oracle.stream_ids
+        assert view.top_terms(25) == oracle.top_terms(25)
+        probes = sorted(oracle.terms)[:40] + ["never-seen"]
+        for term in probes:
+            assert view.total(term) == oracle.total(term)
+            assert view.streams_with(term) == oracle.streams_with(term)
+            assert list(view.nonzero(term)) == list(oracle.nonzero(term))
+            got, want = view.term_snapshots(term), oracle.term_snapshots(term)
+            assert got == want
+            assert list(got) == list(want)  # outer key order
+            for timestamp in want:
+                assert list(got[timestamp]) == list(want[timestamp])
+            for sid in collection.stream_ids[:6]:
+                # repr: floats everywhere, also where a stream lacks the term
+                assert repr(view.sequence(term, sid)) == repr(
+                    oracle.sequence(term, sid)
+                )
+            for timestamp in range(collection.timeline):
+                got_slice = view.slice_at(term, timestamp)
+                want_slice = oracle.slice_at(term, timestamp)
+                assert got_slice == want_slice
+                assert list(got_slice) == list(want_slice)
+
+    @pytest.mark.parametrize("build", [topix_collection, ambient_collection])
+    def test_view_matches_dict_of_dicts(self, build):
+        from oracles.frequency import DictFrequencyTensor
+
+        collection = build()
+        self.assert_matches(
+            FrequencyTensor(collection), DictFrequencyTensor(collection), collection
+        )
+
+    def test_snapshot_follows_collection_versions(self):
+        from oracles.frequency import DictFrequencyTensor
+
+        collection = ambient_collection()
+        before = FrequencyTensor(collection)
+        assert FrequencyTensor(collection)._columns is before._columns
+        old_oracle = DictFrequencyTensor(collection)
+        collection.add_document(Document("late", "s07", 39, ("topic0", "fresh")))
+        after = FrequencyTensor(collection)
+        # The earlier view keeps its snapshot; the new one sees the document.
+        self.assert_matches(before, old_oracle, collection)
+        self.assert_matches(after, DictFrequencyTensor(collection), collection)
+        assert "fresh" in after.terms and "fresh" not in before.terms
+        assert after.slice_at("topic0", 39)["s07"] >= 1.0
+
+    def test_reads_without_rows_stay_float(self):
+        collection = SpatiotemporalCollection(timeline=3)
+        collection.add_stream("us", Point(0, 0))
+        collection.add_stream("uk", Point(1, 1))
+        collection.add_document(Document(1, "us", 1, ("a", "a")))
+        view = FrequencyTensor(collection)
+        zeros = repr([0.0] * 3)
+        assert repr(view.sequence("a", "uk")) == zeros
+        assert repr(view.sequence("zzz", "us")) == zeros
+        assert repr(collection.merged_frequency_sequence("zzz")) == zeros
+        assert repr(collection.merged_frequency_sequence("a")) == repr(
+            [0.0, 2.0, 0.0]
+        )
