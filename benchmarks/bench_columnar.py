@@ -13,9 +13,10 @@ Two synthetic corpora exercise the regional mining stack at
 Each corpus is mined three ways, all byte-identical by assertion:
 
 * **term-major** — the seed's legacy mining sweep: replay the full
-  timeline once per term (``patterns_for_term`` in a loop);
+  timeline once per term, one ``process`` call per snapshot;
 * **snapshot-major** — the per-snapshot replay
-  (:func:`repro.pipeline.batch.replay_trackers`), the reference oracle;
+  (``replay_trackers`` in ``tests/oracles/stlocal.py``), the reference
+  oracle;
 * **columnar** — ``BatchMiner``: vectorized burstiness
   matrices, one batched-Kadane tensor for every rectangle extraction,
   region lifecycles off precomputed score series.
@@ -33,7 +34,7 @@ import os
 import random
 import time
 
-from bench_pipeline import build_event_corpus, mine_by_replay
+from bench_pipeline import build_event_corpus, mine_by_replay, mine_term_major
 from conftest import TINY, report
 
 from repro import (
@@ -94,16 +95,6 @@ def build_ambient_corpus(
     return coll
 
 
-def _mine_term_major(stlocal, tensor, terms, locations):
-    """The seed's legacy mining sweep: full replay once per term."""
-    mined = {}
-    for term in terms:
-        patterns = stlocal.patterns_for_term(tensor, term, locations)
-        if patterns:
-            mined[term] = patterns
-    return mined
-
-
 def _best_of(fn, rounds):
     best = None
     result = None
@@ -127,7 +118,7 @@ def _mining_comparison(collection, rounds):
     mine_by_replay(stlocal, tensor, terms, locations)
 
     term_major_t, term_major = _best_of(
-        lambda: _mine_term_major(stlocal, tensor, terms, locations), 1
+        lambda: mine_term_major(stlocal, tensor, terms, locations), 1
     )
     snapshot_t, snapshot = _best_of(
         lambda: mine_by_replay(stlocal, tensor, terms, locations), rounds

@@ -4,11 +4,11 @@ A 56-term synthetic corpus of localised events (the injected-pattern
 workload of Section 6.2) is mined three ways:
 
 * **term-major** — the seed behaviour: replay the full timeline once
-  per term (``patterns_for_term`` in a loop);
-* **snapshot-major** — the per-snapshot replay of
-  :func:`repro.pipeline.batch.replay_trackers`: one sweep over the
-  shared tensor feeds every tracker, skipping each term's quiet prefix
-  and post-burst tail;
+  per term, one ``process`` call per snapshot
+  (``tests/oracles/stlocal.py``'s ``replay_term`` in a loop);
+* **snapshot-major** — the per-snapshot replay of the same oracle's
+  ``replay_trackers``: one sweep over the shared tensor feeds every
+  tracker, skipping each term's quiet prefix and post-burst tail;
 * **sharded** — the same pipeline with ``workers=2`` (term-sharded
   multiprocessing; informational on single-core runners).
 
@@ -32,7 +32,8 @@ from repro import (
     SpatiotemporalCollection,
 )
 from repro.pipeline import BatchMiner
-from repro.pipeline.batch import replay_trackers
+
+from oracles.stlocal import replay_patterns, replay_term
 
 #: CI smoke mode: shrink the workload and skip the wall-clock assertion
 #: (fixed costs dominate at smoke sizes; output parity still holds).
@@ -85,10 +86,15 @@ def build_event_corpus(
 def mine_by_replay(stlocal, tensor, terms, locations):
     """Regional patterns from the per-snapshot replay, shaped like
     ``BatchMiner.mine_regional`` output."""
-    trackers = replay_trackers(tensor, terms, locations, stlocal.config)
+    return replay_patterns(tensor, terms, locations, stlocal.config)
+
+
+def mine_term_major(stlocal, tensor, terms, locations):
+    """The seed's mining loop: a full per-snapshot replay per term."""
     mined = {}
     for term in terms:
-        patterns = trackers[term].patterns(term)
+        tracker = replay_term(tensor, term, locations, stlocal.config)
+        patterns = tracker.patterns(term)
         if patterns:
             mined[term] = patterns
     return mined
@@ -105,11 +111,7 @@ def run_pipeline_comparison():
     timings = {}
 
     start = time.perf_counter()
-    term_major = {}
-    for term in terms:
-        patterns = stlocal.patterns_for_term(tensor, term, locations)
-        if patterns:
-            term_major[term] = patterns
+    term_major = mine_term_major(stlocal, tensor, terms, locations)
     timings["stlocal_term_major"] = time.perf_counter() - start
 
     start = time.perf_counter()

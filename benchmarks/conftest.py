@@ -13,6 +13,7 @@ paper-sized configuration.
 
 
 import os
+import sys
 
 import pytest
 
@@ -40,6 +41,10 @@ def lab() -> TopixLab:
 
 _RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: The reference implementations the speed benchmarks time the shipped
+#: paths against live with the tests, in ``tests/oracles/``.
+sys.path.insert(0, os.path.join(_REPO_ROOT, "tests"))
 
 
 def report(name: str, text: str) -> None:

@@ -207,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "save",
         parents=[corpus],
         help="mine the corpus and persist a durable serving snapshot "
-        "(documents, patterns, posting columns, tracker state)",
+        "(documents, patterns, posting columns)",
     )
     save.add_argument(
         "--out", required=True, help="target store directory (new or empty)"
@@ -571,16 +571,8 @@ def _run_save(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[Top
         file=sys.stderr,
     )
     miner = BatchMiner(stlocal=lab.stlocal, stcomb=lab.stcomb)
-    trackers = None
     if args.miner == "stlocal":
-        trackers = miner.regional_trackers(
-            tensor, terms, locations=lab.locations
-        )
-        mined = {}
-        for term in terms:
-            patterns = trackers[term].patterns(term)
-            if patterns:
-                mined[term] = patterns
+        mined = miner.mine_regional(tensor, terms, locations=lab.locations)
     else:
         mined = miner.mine_combinatorial(tensor, terms)
     engine = BurstySearchEngine(lab.collection, mined)
@@ -590,7 +582,6 @@ def _run_save(args: argparse.Namespace, lab: Optional[TopixLab]) -> Optional[Top
         engine,
         "regional" if args.miner == "stlocal" else "combinatorial",
         terms=terms,
-        trackers=trackers,
         miner_config=(
             lab.stlocal.config if args.miner == "stlocal" else lab.stcomb.config
         ),

@@ -22,10 +22,10 @@ rest of the system delegates to:
 * :mod:`repro.columnar.postings` — :class:`PostingArray`, the one
   posting-list type: sorted ``(doc, score)`` ndarrays with a vectorized
   sort, read directly by the top-k kernels;
-* :mod:`repro.columnar.sweep` — the columnar STLocal term tracker and
-  the burst sweep that extends it, used by
-  :class:`repro.pipeline.BatchMiner` and the live feeder; its state is
-  indistinguishable from a snapshot-by-snapshot replay.
+* :mod:`repro.columnar.sweep` — the burst sweep that advances every
+  :class:`~repro.core.stlocal.STLocalTermTracker`, for the batch miner
+  and the live feeder alike; its result is byte-identical to a
+  snapshot-by-snapshot replay of Algorithm 2.
 
 The differential tests (``tests/test_columnar_differential.py``) hold
 each kernel byte-equal to a pure-Python reference on random corpora;
@@ -42,18 +42,15 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columnar.collection import ColumnarCollection
     from repro.columnar.postings import PostingArray
-    from repro.columnar.sweep import columnar_supported
 
 __all__ = [
     "ColumnarCollection",
     "PostingArray",
-    "columnar_supported",
 ]
 
 _EXPORTS = {
     "ColumnarCollection": ("repro.columnar.collection", "ColumnarCollection"),
     "PostingArray": ("repro.columnar.postings", "PostingArray"),
-    "columnar_supported": ("repro.columnar.sweep", "columnar_supported"),
 }
 
 

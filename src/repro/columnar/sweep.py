@@ -1,19 +1,18 @@
-"""Columnar STLocal burst sweep: the term tracker as arrays.
+"""Columnar STLocal burst sweep: how a term tracker advances.
 
-The object tracker (:class:`~repro.core.stlocal.STLocalTermTracker`)
-advances one snapshot at a time: every ``process`` call updates
-per-stream expectation-model *objects*, builds
-:class:`~repro.spatial.discrepancy.WeightedPoint` dataclasses, and
-re-enters NumPy for a grid the size of a postage stamp.  This module
-keeps a term's per-stream state as arrays instead
-(:class:`ColumnarTermTracker`: a dense burstiness matrix and one model
-total per stream) and extends a tracker over any run of snapshots
-``[clock, through)`` in three phases:
+A :class:`~repro.core.stlocal.STLocalTermTracker` keeps a term's
+per-stream state as arrays (a dense burstiness matrix plus one model
+state per stream).  This module extends any number of trackers over
+their runs of snapshots ``[clock, through)`` at once, in three phases:
 
-1. **prepare** — the new ``observed − expected`` burstiness columns are
-   computed in one vectorized pass from each model's carried total
-   (:func:`repro.columnar.kernels.running_mean_burstiness`), along with
-   one coordinate compression per activation segment;
+1. **prepare** — the new ``observed − expected`` burstiness columns of
+   each term, from the config's baseline (:func:`prefix_sum_baseline`):
+   the paper-default running mean is computed in one vectorized pass
+   from each stream's carried total
+   (:func:`repro.columnar.kernels.running_mean_burstiness`); any other
+   expectation model is stepped through the snapshots one object per
+   stream (:func:`_model_burstiness`).  Then one coordinate
+   compression per activation segment;
 2. **batch** — the first R-Bursty rectangle of every segment-batchable
    snapshot of *every* term is extracted by the batched Kadane
    (:func:`repro.columnar.kernels.batched_first_rectangles`), one call
@@ -25,31 +24,28 @@ total per stream) and extends a tracker over any run of snapshots
    shared one.  The remaining extractions — unclean first rounds and
    all second-and-later rectangles after point retirement — are
    resolved by the same batched kernel in rounds, each round
-   compressing every still-pending snapshot exactly as the reference
-   per-snapshot call would;
+   compressing every still-pending snapshot exactly as a per-snapshot
+   R-Bursty call would;
 3. **finish** — rectangles become region lifecycles: the r-score series
    of every region alive in the run — the open sequences carried over
    and the ones created here — is read off its member set's score
    series (sequential member-row additions over the new columns), its
    pruning snapshot found by one scalar running-total scan, and a new
    region's Ruzzo–Tompa state materialised in one batch pass.  Keys,
-   pruning, archive order and sequence-map order are those of one
-   ``process`` call per snapshot.
+   pruning, archive order and sequence-map order are those of
+   Algorithm 2 run one snapshot at a time.
 
 The batch miner sweeps every term from a pristine tracker in one call
 (:func:`sweep_terms`); the live feeder (:mod:`repro.pipeline.
 incremental`) extends a term's durable tracker as snapshots seal and a
-fork of it through the open ones.  The columnar tracker only represents
-the paper-default baseline (a zero-prior
-:class:`~repro.temporal.baselines.RunningMeanBaseline`), whose running
-mean is expressible as a prefix sum; any other ``baseline_factory``
-keeps the object tracker and its ``process`` replay (see
-:func:`columnar_supported`).  Output equality is enforced by
-``tests/test_columnar_differential.py``.
+fork of it through the open ones.  Output equality with the
+snapshot-at-a-time reference (``tests/oracles/stlocal.py``) is enforced
+by ``tests/test_columnar_differential.py``.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import (
     Dict,
     FrozenSet,
@@ -68,23 +64,26 @@ import numpy as np
 
 from repro.columnar import kernels
 from repro.core.config import STLocalConfig
-from repro.core.stlocal import RegionSequence, STLocalTermTracker
+from repro.core.stlocal import (
+    RegionSequence,
+    STLocalTermTracker,
+    TermSnapshots,
+)
 from repro.errors import StreamError
 from repro.intervals.interval import Interval
 from repro.spatial.geometry import Point, Rectangle
-from repro.spatial.index import IntervalSpatialIndex, SpatialIndex
-from repro.temporal.baselines import RunningMeanBaseline
+from repro.temporal.baselines import (
+    ExpectedFrequencyModel,
+    RunningMeanBaseline,
+)
 from repro.temporal.max_segments import OnlineMaxSegments
 
 __all__ = [
-    "columnar_supported",
-    "ColumnarTermTracker",
     "LocationStore",
+    "advance_trackers",
+    "prefix_sum_baseline",
     "sweep_terms",
 ]
-
-#: timestamp → stream → frequency: one term's sparse snapshot slices.
-TermSnapshots = Mapping[int, Mapping[Hashable, float]]
 
 #: Below this stream count a scalar membership scan beats the
 #: vectorized rectangle mask (NumPy call overhead again).
@@ -98,22 +97,21 @@ _UNBATCHED = object()
 Bounds = Tuple[float, float, float, float, float]
 
 
-def columnar_supported(config: STLocalConfig) -> bool:
-    """True when the columnar sweep reproduces this configuration.
+def prefix_sum_baseline(config: STLocalConfig) -> bool:
+    """True when the config's baseline is the paper's zero-prior running mean.
 
-    The vectorized burstiness matrix encodes exactly one baseline: the
-    paper's default running mean over all earlier snapshots with a zero
-    prior (``expected(i) = Σ_{j<i} y_j / i``).  A customised
-    ``baseline_factory`` — different model class, subclass, or non-zero
-    prior — routes the miner back to the legacy per-snapshot replay.
+    Its expectation ``Σ_{j<i} y_j / i`` is a prefix sum, so the sweep
+    computes a whole burstiness matrix in one pass from one carried
+    total per stream.  Any other ``baseline_factory`` — a different
+    model class, a subclass, or a non-zero prior — is stepped through
+    one model object per stream instead.
     """
     try:
         probe = config.baseline_factory()
     except (TypeError, ValueError):
-        # A factory that rejects the no-argument probe call (extra
-        # required parameters, constructor validation) is by definition
-        # not the paper default; anything else it raises is a real bug
-        # and must surface.
+        # A factory that rejects the no-argument probe call is not the
+        # paper default; the model path calls it again and surfaces
+        # the error.  Anything else it raises is a bug and surfaces here.
         return False
     return (
         type(probe) is RunningMeanBaseline
@@ -124,15 +122,13 @@ def columnar_supported(config: STLocalConfig) -> bool:
 
 
 class LocationStore:
-    """Shared columnar view of the stream locations for one mine call.
+    """Shared columnar view of the stream locations.
 
-    Holds the coordinate columns every term's sweep reads from, plus
-    the (optional) spatial index handed to each produced tracker — the
-    per-call equivalents of what
-    :func:`~repro.pipeline.batch.replay_trackers` builds inline.
+    Holds the coordinate columns every tracker over one stream set
+    reads from, and memoises rectangle membership across all of them.
     """
 
-    def __init__(self, locations: Dict[Hashable, Point]) -> None:
+    def __init__(self, locations: Mapping[Hashable, Point]) -> None:
         self.locations = dict(locations)
         self.ids: List[Hashable] = list(self.locations)
         self.xs: List[float] = [p.x for p in self.locations.values()]
@@ -142,9 +138,6 @@ class LocationStore:
         self.coords: Dict[Hashable, Tuple[float, float]] = {
             sid: (p.x, p.y) for sid, p in self.locations.items()
         }
-        self.index: Optional[SpatialIndex] = None
-        if len(self.locations) > STLocalTermTracker.INDEX_THRESHOLD:
-            self.index = IntervalSpatialIndex(list(self.locations.items()))
         # Membership is a pure function of the rectangle bounds and the
         # (fixed) stream set, and burst regions recur across snapshots
         # and terms — memoising pays for itself immediately.
@@ -236,7 +229,7 @@ class _Segment:
     span between consecutive activations shares one coordinate
     compression.  Within the segment, a snapshot is *batchable* when
     every active row's weight is non-zero: all active points then
-    survive the legacy non-zero filter, so the per-snapshot compression
+    survive R-Bursty's non-zero filter, so the per-snapshot compression
     provably equals the segment's shared one.
     """
 
@@ -250,134 +243,6 @@ class _Segment:
         "grid_y",
         "clean_columns",
     )
-
-
-class ColumnarTermTracker(STLocalTermTracker):
-    """An STLocal term tracker whose per-stream state is columnar.
-
-    Indistinguishable from a replayed ``STLocalTermTracker`` — same
-    sequences, archives, model totals and histories — but it keeps the
-    per-stream state as dense arrays: one burstiness matrix (rows =
-    every stream observed so far, in sorted-by-``repr`` order; columns =
-    timestamps from the first observation to the clock) and one model
-    total per row.  :meth:`advance` extends both with the sweep's
-    vectorised phases, :meth:`bursty_members` sums matrix slices, and
-    :meth:`fork` shares the arrays: an advance replaces them and never
-    writes into them (they are read-only), so no copy is needed.
-
-    The ``_models`` and ``_history`` maps of the object tracker are
-    derived from the arrays on demand (for the store codec and the
-    differential tests).  Only the paper-default running mean is
-    representable (see :func:`columnar_supported`): every model has
-    seen one observation per snapshot since timestamp 0, so its count
-    is the clock and only its total is state.
-
-    Args:
-        store: The location columns (and spatial index) of the stream
-            set, shared by every tracker of one miner or feeder.
-        config: STLocal settings (must pass :func:`columnar_supported`).
-    """
-
-    def __init__(self, store: LocationStore, config: STLocalConfig) -> None:
-        self._store = store
-        super().__init__(
-            store.locations, config=config, index=store.index,
-            copy_locations=False,
-        )
-
-    def _init_stream_state(self) -> None:
-        #: Streams with a model, sorted by repr (the point order).
-        self._row_ids: List[Hashable] = []
-        self._row_of: Dict[Hashable, int] = {}
-        #: Model total of each row.
-        self._totals: np.ndarray = _frozen(np.zeros(0))
-        #: Timestamp of matrix column 0 (the first observation).
-        self._first = 0
-        #: Burstiness, rows × (clock − first); no columns when history
-        #: tracking is off.
-        self._matrix: np.ndarray = _frozen(np.zeros((0, 0)))
-
-    def _fork_stream_state(self) -> None:
-        """Nothing to copy: an advance replaces the arrays, never writes
-        into them."""
-
-    @property
-    def pristine(self) -> bool:
-        return not self._row_ids and not self._sequences
-
-    @property
-    def _models(self) -> Dict[Hashable, RunningMeanBaseline]:
-        """The object tracker's model map, rebuilt from the totals."""
-        models: Dict[Hashable, RunningMeanBaseline] = {}
-        for sid, total in zip(self._row_ids, self._totals.tolist()):
-            model = RunningMeanBaseline()
-            model._count = self._clock
-            model._total = total
-            models[sid] = model
-        return models
-
-    @property
-    def _history(self) -> Dict[Hashable, Dict[int, float]]:
-        """The object tracker's history map: each row's non-zero cells."""
-        history: Dict[Hashable, Dict[int, float]] = {}
-        if not self.config.track_history:
-            return history
-        matrix = self._matrix
-        nz_rows, nz_cols = np.nonzero(matrix)
-        values = matrix[nz_rows, nz_cols].tolist()
-        timestamps = (self._first + nz_cols).tolist()
-        # np.nonzero is row-major, so each row's entries are contiguous
-        # and ascending — one dict(zip(…)) per stream.
-        counts = np.bincount(nz_rows, minlength=len(self._row_ids)).tolist()
-        position = 0
-        for row, count in enumerate(counts):
-            if count:
-                history[self._row_ids[row]] = dict(
-                    zip(
-                        timestamps[position : position + count],
-                        values[position : position + count],
-                    )
-                )
-                position += count
-        return history
-
-    def advance(
-        self, snapshots: Mapping[int, Mapping[Hashable, float]], through: int
-    ) -> None:
-        """Feed every snapshot in ``[clock, through)`` in one sweep."""
-        _advance([(self, snapshots, through)])
-
-    def process(self, frequencies: Mapping[Hashable, float]) -> int:
-        """Consume the next snapshot: an advance over one timestamp."""
-        timestamp = self._clock
-        self.advance({timestamp: frequencies}, timestamp + 1)
-        return self.rectangle_history[-1]
-
-    def bursty_members(
-        self, streams: FrozenSet[Hashable], timeframe: Interval
-    ) -> Optional[FrozenSet[Hashable]]:
-        """Member streams with positive net burstiness over a window:
-        one cumsum along the window's matrix slice."""
-        if not self.config.track_history:
-            return None
-        matrix = self._matrix
-        lo = max(timeframe.start - self._first, 0)
-        hi = min(timeframe.end - self._first + 1, matrix.shape[1])
-        # Built with add() in ``streams`` order, like the object
-        # tracker's set, so the frozenset iterates identically.
-        bursty = set()
-        row_of = self._row_of
-        members = [sid for sid in streams if sid in row_of]
-        if lo < hi and members:
-            # cumsum adds left to right — the history walk's order, with
-            # inert zeros in between — so the totals are byte-identical.
-            totals = np.cumsum(
-                matrix[[row_of[sid] for sid in members], lo:hi], axis=1
-            )[:, -1]
-            for sid, positive in zip(members, (totals > 0.0).tolist()):
-                if positive:
-                    bursty.add(sid)
-        return frozenset(bursty)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -399,6 +264,7 @@ class _TermPlan:
         "burstiness",
         "columns",
         "totals",
+        "models",
         "row_x",
         "row_y",
         "segments",
@@ -407,7 +273,7 @@ class _TermPlan:
 
 
 def _prepare_term(
-    tracker: ColumnarTermTracker,
+    tracker: STLocalTermTracker,
     snapshots: TermSnapshots,
     through: int,
 ) -> Optional[_TermPlan]:
@@ -471,20 +337,32 @@ def _prepare_term(
     n_rows = len(row_ids)
     order = [seen[sid] for sid in row_ids]
     counts = counts[order]
-    carried = np.zeros(n_rows)
     old_rows = [row_of[sid] for sid in old_ids]
-    carried[old_rows] = tracker._totals
-
-    plan.burstiness, plan.totals = kernels.running_mean_burstiness(
-        counts, first, tracker.config.warmup, carried
-    )
-    plan.columns = plan.burstiness.T.tolist()
     # Global timestamp of each row's first observation (model creation):
     # from then on the stream is an active point of every snapshot.
     first_active = (first + np.argmax(positive[order], axis=1)).tolist()
     for row in old_rows:
         first_active[row] = first
     plan.first_active = first_active
+
+    if tracker._models is None:
+        carried = np.zeros(n_rows)
+        carried[old_rows] = tracker._totals
+        plan.burstiness, plan.totals = kernels.running_mean_burstiness(
+            counts, first, tracker.config.warmup, carried
+        )
+        plan.models = None
+    else:
+        # Advance copies: the tracker's own models are shared by forks.
+        models = copy.deepcopy(tracker._models)
+        plan.burstiness, plan.models = _model_burstiness(
+            tracker.config,
+            counts,
+            first,
+            first_active,
+            dict(zip(old_rows, models)),
+        )
+    plan.columns = plan.burstiness.T.tolist()
     coords = store.coords
     plan.row_x = [coords[sid][0] for sid in row_ids]
     plan.row_y = [coords[sid][1] for sid in row_ids]
@@ -544,6 +422,67 @@ def _prepare_term(
         plan.segments.append(segment)
         previous = segment
     return plan
+
+
+def _model_burstiness(
+    config: STLocalConfig,
+    counts: np.ndarray,
+    first: int,
+    first_active: List[int],
+    carried: Dict[int, ExpectedFrequencyModel],
+) -> Tuple[np.ndarray, List[ExpectedFrequencyModel]]:
+    """Burstiness off one expectation-model object per row.
+
+    Row ``r`` continues its ``carried`` model, or gets a fresh one from
+    ``config.baseline_factory`` at its first observation
+    ``first_active[r]``, primed with the zero observations it missed
+    (:func:`_prime`).  From then on the model observes every snapshot
+    and the row holds ``observed − expected(t)``, or zero inside the
+    warmup; before it, zero.  ``counts`` columns start at global
+    timestamp ``first``.  The factory makes an independent model per
+    stream, so stepping one row at a time computes what a
+    snapshot-at-a-time update of every model computes.
+
+    Returns:
+        The burstiness matrix and the advanced models, in row order.
+    """
+    factory, warmup = config.baseline_factory, config.warmup
+    n_rows, span = counts.shape
+    burstiness = np.zeros((n_rows, span))
+    models: List[ExpectedFrequencyModel] = []
+    for row, observed in enumerate(counts.tolist()):
+        start = first_active[row]
+        model = carried.get(row)
+        if model is None:
+            model = factory()
+            _prime(model, start)
+        values = []
+        for timestamp in range(start, first + span):
+            value = observed[timestamp - first]
+            values.append(
+                0.0
+                if timestamp < warmup
+                else value - model.expected(timestamp)
+            )
+            model.observe(timestamp, value)
+        burstiness[row, start - first :] = values
+        models.append(model)
+    return burstiness, models
+
+
+def _prime(model: ExpectedFrequencyModel, zeros: int) -> None:
+    """Feed a model created at timestamp ``zeros`` the zeros it missed.
+
+    The paper's default baseline averages over *all* snapshots before
+    ``i``, so the silent ones before a term's first appearance in a
+    stream must count.
+    """
+    prime = getattr(model, "prime_zeros", None)
+    if prime is not None:
+        prime(zeros)
+        return
+    for j in range(zeros):
+        model.observe(j, 0.0)
 
 
 #: Cost model of one batched-Kadane call, measured on one core: a fixed
@@ -631,7 +570,7 @@ def _scatter_grids(
 
     ``pieces`` are ``(first slot, plan, segment)``; the tensor is padded
     to the pieces' largest compression.  Accumulation follows the
-    legacy order — rows ascending (the sorted-by-repr point order)
+    reference order — rows ascending (the sorted-by-repr point order)
     within each snapshot — via one sequential ``bincount``.  Returns
     the global slot of every grid with the tensor.
     """
@@ -653,7 +592,7 @@ def _scatter_grids(
         base = (offset + np.arange(s, dtype=np.int64)) * (m_pad * k_pad)
         # Row-major: all of row 0's snapshots, then row 1's, … so
         # cells shared by several rows accumulate in ascending-row
-        # (sorted-by-repr point) order, matching the legacy grid.
+        # (sorted-by-repr point) order, matching a per-snapshot grid.
         flat_indices.append(
             (base[None, :] + cell[:, None]).reshape(n_rows * s)
         )
@@ -851,8 +790,8 @@ def _finish_term(
 ) -> None:
     """Phase 3: region lifecycles and histories off the matrices.
 
-    Extends the plan's tracker exactly as one ``process`` call per
-    snapshot would: the same region keys, r-scores, pruning snapshots,
+    Extends the plan's tracker exactly as Algorithm 2 run one snapshot
+    at a time would: the same region keys, r-scores, pruning snapshots,
     archive order and sequence-map order.
     """
     tracker = plan.tracker
@@ -877,7 +816,8 @@ def _finish_term(
             rows = sorted(row_of[sid] for sid in members if sid in row_of)
             if rows:
                 # cumsum down the rows adds them one at a time, in
-                # member order: ``sequential_sum`` per column.  Its
+                # member order: a left-to-right sum per column (not
+                # CPython 3.12's compensated builtin ``sum``).  Its
                 # first row is not added to 0.0, and ``+ 0.0`` is that
                 # missing addition (it only turns -0.0 into 0.0).
                 totals = np.cumsum(burstiness[rows], axis=0)[-1] + 0.0
@@ -993,20 +933,21 @@ def _finish_term(
         tracker._matrix = _frozen(matrix)
     tracker._row_ids = plan.row_ids
     tracker._row_of = row_of
-    tracker._totals = _frozen(plan.totals)
+    if plan.models is None:
+        tracker._totals = _frozen(plan.totals)
+    else:
+        tracker._models = plan.models
 
 
-def _advance(
-    jobs: Sequence[Tuple[ColumnarTermTracker, TermSnapshots, int]],
+def advance_trackers(
+    jobs: Sequence[Tuple[STLocalTermTracker, TermSnapshots, int]],
 ) -> None:
-    """Extend many columnar trackers, each through its own horizon.
+    """Extend many trackers, each through its own horizon.
 
     Per-term matrices are prepared first, every batchable snapshot
     across *all* terms joins one batched Kadane per bucket of grid
     heights, and the scalar finish runs per term.  Each tracker ends
-    byte-equivalent to feeding the same snapshots through
-    :meth:`~repro.core.stlocal.STLocalTermTracker.process` one
-    timestamp at a time.
+    exactly as Algorithm 2 run one snapshot at a time would leave it.
     """
     plans = []
     for tracker, snapshots, through in jobs:
@@ -1040,28 +981,26 @@ def _advance(
 
 
 def sweep_terms(
-    term_snapshots: Dict[str, Dict[int, Dict[Hashable, float]]],
+    term_snapshots: Mapping[str, TermSnapshots],
     store: LocationStore,
     config: STLocalConfig,
-    timeline: int,
-    truncate_tails: bool = True,
-) -> Dict[str, ColumnarTermTracker]:
+) -> Dict[str, STLocalTermTracker]:
     """Mine many terms' regional state off their sparse snapshot slices.
 
-    The multi-term driver: one :class:`ColumnarTermTracker` per term,
-    all advanced by one sweep (see :func:`_advance`).  A term with no
-    snapshots keeps a pristine tracker at clock 0.  Each returned
-    tracker is byte-equivalent to feeding the same snapshots through
-    :meth:`~repro.core.stlocal.STLocalTermTracker.process` one
-    timestamp at a time.
+    The multi-term driver: one tracker per term, all advanced by one
+    sweep (see :func:`advance_trackers`).  A term with no snapshots
+    keeps a pristine tracker at clock 0.  Each tracker stops after its
+    term's last active snapshot: from there on every stream's
+    burstiness is ``observed − expected = −expected ≤ 0`` (every
+    baseline in :mod:`repro.temporal.baselines` expects a non-negative
+    frequency), so no new rectangle, maximal segment or window can
+    appear, and only the per-snapshot history series would grow.
     """
-    trackers: Dict[str, ColumnarTermTracker] = {}
+    trackers: Dict[str, STLocalTermTracker] = {}
     jobs = []
     for term, snapshots in term_snapshots.items():
-        tracker = trackers[term] = ColumnarTermTracker(store, config)
+        tracker = trackers[term] = STLocalTermTracker(store, config)
         if snapshots:
-            through = max(snapshots) + 1 if truncate_tails else timeline
-            jobs.append((tracker, snapshots, through))
-    _advance(jobs)
+            jobs.append((tracker, snapshots, max(snapshots) + 1))
+    advance_trackers(jobs)
     return trackers
-

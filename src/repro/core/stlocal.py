@@ -1,6 +1,6 @@
 """STLocal (Algorithm 2): streaming regional patterns / maximal windows.
 
-Per term, the tracker consumes one snapshot at a time:
+Per term, the tracker consumes snapshots in timestamp order:
 
 1. update each stream's expected-frequency model and compute the
    discrepancy burstiness ``B(t, D_x[i]) = observed − expected`` (Eq. 7);
@@ -17,6 +17,13 @@ Per term, the tracker consumes one snapshot at a time:
    longer contribute a new maximal window (Lines 11–12 of Algorithm 2),
    archiving the windows it produced.
 
+:class:`STLocalTermTracker` keeps a term's per-stream state as arrays
+and extends it over any run of snapshots in one columnar sweep
+(:mod:`repro.columnar.sweep`); :meth:`~STLocalTermTracker.process` is
+an advance over one snapshot.  The snapshot-at-a-time transcription of
+the pseudocode is the test oracle ``tests/oracles/stlocal.py``, which
+the differential suites hold the tracker byte-equal to.
+
 The tracker also records the per-timestamp counts behind Figures 5
 (bursty rectangles per snapshot) and 6 (open windows per term).
 """
@@ -25,13 +32,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import sys
 from typing import (
-    Callable,
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Hashable,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -40,43 +45,25 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.core.config import STLocalConfig
 from repro.core.patterns import RegionalPattern
-from repro.core.rbursty import r_bursty
 from repro.errors import StreamError
 from repro.intervals.interval import Interval
-from repro.spatial.discrepancy import WeightedPoint
 from repro.spatial.geometry import Point, Rectangle
-from repro.spatial.index import IntervalSpatialIndex, SpatialIndex
 from repro.streams.collection import SpatiotemporalCollection
 from repro.streams.frequency import FrequencyTensor
 from repro.temporal.baselines import ExpectedFrequencyModel
 from repro.temporal.max_segments import OnlineMaxSegments
 
-__all__ = ["RegionSequence", "STLocalTermTracker", "STLocal", "sequential_sum"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columnar.sweep import LocationStore
 
+__all__ = ["RegionSequence", "STLocalTermTracker", "STLocal"]
 
-def _sum_left_to_right(values: Iterable[float]) -> float:
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
-#: Left-to-right float sum, rounding after every addition: the r-score
-#: :meth:`STLocalTermTracker.process` appends to each tracked region.
-#: The columnar tracker (:mod:`repro.columnar.sweep`) computes the same
-#: sums without it — r-scores by adding member rows of its burstiness
-#: matrix one at a time, window totals in ``bursty_members`` by one
-#: ``np.cumsum`` along the window — and both add in exactly this order,
-#: so a replayed tracker and a sweep-built one agree bit for bit.
-#: Builtin ``sum`` of floats is compensated (Neumaier) from CPython 3.12
-#: on: ``sum([1e16, 1.0, -1e16])`` is ``1.0`` there and ``0.0`` here.  Up
-#: to 3.11 the builtin computes exactly this sum, in C, so it keeps the
-#: builtin there.
-sequential_sum: Callable[[Iterable[float]], float] = (
-    sum if sys.version_info < (3, 12) else _sum_left_to_right
-)
+#: timestamp → stream → frequency: one term's sparse snapshot slices.
+TermSnapshots = Mapping[int, Mapping[Hashable, float]]
 
 
 @dataclasses.dataclass
@@ -88,20 +75,12 @@ class RegionSequence:
         stream_ids: The streams whose geostamps lie inside the region.
         start: Global timestamp of the sequence's first value.
         tracker: Online Ruzzo–Tompa state over the appended r-scores.
-        member_order: The member streams in a fixed sorted order, so the
-            r-score summation is bit-reproducible across processes
-            (frozenset iteration follows the randomised string hash).
     """
 
     region: Rectangle
     stream_ids: FrozenSet[Hashable]
     start: int
     tracker: OnlineMaxSegments = dataclasses.field(default_factory=OnlineMaxSegments)
-    member_order: Tuple[Hashable, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.member_order:
-            self.member_order = tuple(sorted(self.stream_ids, key=repr))
 
     def append(self, r_score: float) -> None:
         self.tracker.add(r_score)
@@ -125,61 +104,64 @@ class RegionSequence:
             stream_ids=self.stream_ids,
             start=self.start,
             tracker=self.tracker.fork(),
-            member_order=self.member_order,
         )
 
 
 class STLocalTermTracker:
     """Streaming STLocal state for a single term.
 
-    Args:
-        locations: Geostamp of every stream on the projected plane.
-        config: Algorithm settings.
-        index: Optional prebuilt spatial index over ``locations``; when
-            mining many terms over the same stream set (see
-            :class:`repro.pipeline.BatchMiner`) one shared index avoids
-            a per-term rebuild.
-        copy_locations: Defensively copy ``locations`` (default).  A
-            batch pipeline holding thousands of trackers over one
-            immutable stream set passes ``False`` to share a single
-            mapping; the tracker never mutates it.
-    """
+    The per-stream state is columnar: one burstiness matrix (rows =
+    every stream observed so far, in sorted-by-``repr`` order; columns
+    = timestamps from the first observation to the clock) and, per row,
+    either one running total — the paper-default zero-prior
+    :class:`~repro.temporal.baselines.RunningMeanBaseline`, a prefix
+    sum — or the expectation-model object of any other
+    ``baseline_factory``.  :meth:`advance` extends the state with the
+    columnar sweep, which builds new arrays and advances copies of the
+    models, so :meth:`fork` shares them all.
 
-    #: Stream counts above which rectangle membership is resolved with a
-    #: spatial index instead of a linear scan over all locations.
-    INDEX_THRESHOLD = 512
+    Args:
+        locations: Geostamp of every stream on the projected plane, or
+            a :class:`~repro.columnar.sweep.LocationStore` shared by
+            every tracker over one stream set (the batch miner and the
+            live feeder pass one).
+        config: Algorithm settings.
+    """
 
     def __init__(
         self,
-        locations: Dict[Hashable, Point],
+        locations: Union[Mapping[Hashable, Point], "LocationStore"],
         config: Optional[STLocalConfig] = None,
-        index: Optional[SpatialIndex] = None,
-        copy_locations: bool = True,
     ) -> None:
-        self.locations = dict(locations) if copy_locations else locations
+        # The sweep module builds on this one, so it is imported here.
+        from repro.columnar.sweep import LocationStore, prefix_sum_baseline
+
+        self._store = (
+            locations
+            if isinstance(locations, LocationStore)
+            else LocationStore(locations)
+        )
         self.config = config if config is not None else STLocalConfig()
-        self._index: Optional[SpatialIndex] = index
-        if index is None and len(self.locations) > self.INDEX_THRESHOLD:
-            self._index = IntervalSpatialIndex(
-                [(sid, point) for sid, point in self.locations.items()]
-            )
         self._sequences: Dict[Hashable, RegionSequence] = {}
         self._archived: List[Tuple[Rectangle, FrozenSet[Hashable], Interval, float]] = []
         self._clock = 0
         self.rectangle_history: List[int] = []
         self.open_history: List[int] = []
-        self._init_stream_state()
-
-    def _init_stream_state(self) -> None:
-        """Per-stream state: expectation models and burstiness history.
-
-        One model per stream observed so far, and that stream's non-zero
-        burstiness values by timestamp.  The columnar tracker
-        (:class:`repro.columnar.sweep.ColumnarTermTracker`) keeps the
-        same state as dense arrays instead and derives both maps.
-        """
-        self._models: Dict[Hashable, ExpectedFrequencyModel] = {}
-        self._history: Dict[Hashable, Dict[int, float]] = {}
+        #: Streams with a model, sorted by repr (the matrix row order).
+        self._row_ids: List[Hashable] = []
+        self._row_of: Dict[Hashable, int] = {}
+        #: Timestamp of matrix column 0 (the first observation).
+        self._first = 0
+        #: Burstiness, rows × (clock − first); no columns when history
+        #: tracking is off.
+        self._matrix = np.zeros((0, 0))
+        #: Running-mean total of each row (prefix-sum baseline only).
+        self._totals = np.zeros(0)
+        #: Expectation model of each row; ``None`` for the prefix-sum
+        #: baseline, whose model state is ``_totals``.
+        self._models: Optional[List[ExpectedFrequencyModel]] = (
+            None if prefix_sum_baseline(self.config) else []
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -197,24 +179,22 @@ class STLocalTermTracker:
         """True while the tracker has never observed any activity.
 
         A pristine tracker may still be :meth:`fast_forward`-ed over a
-        quiet prefix; once any model or sequence exists it must replay
-        every remaining snapshot.
+        quiet prefix; once any model or sequence exists it must advance
+        through every remaining snapshot.
         """
-        return not self._models and not self._sequences
+        return not self._row_ids and not self._sequences
 
     # ------------------------------------------------------------------
     def fork(self) -> "STLocalTermTracker":
         """Checkpoint the tracker: an independent, advanceable copy.
 
-        The fork shares the immutable inputs (locations, config, spatial
-        index) but owns copies of all mutable state — expectation
-        models, open region sequences, archives and histories — so it
-        can be fed further snapshots (or discarded) without disturbing
-        this tracker.  The live serving layer uses this to preview
-        patterns that include a still-open snapshot while keeping the
-        durable tracker rewindable to its sealed checkpoint, and the
-        differential tests use it to verify a replayed fork matches a
-        cold batch run.
+        The fork owns copies of the open region sequences, archives and
+        histories, and shares the rest: the locations and config, and
+        the burstiness arrays and models, which an advance replaces
+        instead of writing into.  The live serving layer uses this to
+        preview patterns that include a still-open snapshot while
+        keeping the durable tracker rewindable to its sealed
+        checkpoint.
         """
         clone = copy.copy(self)
         clone._sequences = {
@@ -223,15 +203,7 @@ class STLocalTermTracker:
         clone._archived = list(self._archived)
         clone.rectangle_history = list(self.rectangle_history)
         clone.open_history = list(self.open_history)
-        clone._fork_stream_state()
         return clone
-
-    def _fork_stream_state(self) -> None:
-        """Replace the per-stream state a shallow copy shares with copies."""
-        self._models = copy.deepcopy(self._models)
-        self._history = {
-            sid: dict(values) for sid, values in self._history.items()
-        }
 
     # ------------------------------------------------------------------
     def fast_forward(self, timestamp: int) -> None:
@@ -240,10 +212,9 @@ class STLocalTermTracker:
         Processing an empty snapshot before any stream has ever been
         observed is a strict no-op — no models exist, no burstiness is
         computed, no rectangle can appear — so the leading quiet stretch
-        of a term's timeline can be skipped outright.  The lazily
-        created expectation models already account for the skipped
-        snapshots through :meth:`_prime`, so the result is identical to
-        replaying the empty prefix.
+        of a term's timeline can be skipped outright.  A model created
+        later is primed with the zeros it missed, so the result is
+        identical to replaying the empty prefix.
 
         Raises:
             StreamError: when the tracker has already observed activity
@@ -263,32 +234,23 @@ class STLocalTermTracker:
         self.open_history.extend([0] * skipped)
         self._clock = timestamp
 
-    def advance(
-        self, snapshots: Mapping[int, Mapping[Hashable, float]], through: int
-    ) -> None:
-        """Feed every snapshot in ``[clock, through)``.
+    def advance(self, snapshots: TermSnapshots, through: int) -> None:
+        """Feed every snapshot in ``[clock, through)`` in one sweep.
 
-        A pristine tracker first skips its quiet prefix with
-        :meth:`fast_forward`, as the batch pipeline does; every later
-        snapshot goes through :meth:`process`.
+        A pristine tracker first skips its quiet prefix.
 
         Args:
             snapshots: The term's sparse per-timestamp slices (absent
                 timestamps are empty snapshots).
             through: Advance the clock to this timestamp (exclusive); a
                 clock already there is left alone.
+
+        Raises:
+            StreamError: if a slice refers to an unknown stream.
         """
-        if self._clock >= through:
-            return
-        if self.pristine:
-            active = [
-                timestamp
-                for timestamp, slice_ in snapshots.items()
-                if self._clock <= timestamp < through and slice_
-            ]
-            self.fast_forward(min(active) if active else through)
-        for timestamp in range(self._clock, through):
-            self.process(snapshots.get(timestamp, {}))
+        from repro.columnar.sweep import advance_trackers
+
+        advance_trackers([(self, snapshots, through)])
 
     def process(self, frequencies: Mapping[Hashable, float]) -> int:
         """Consume the next snapshot.
@@ -304,122 +266,8 @@ class STLocalTermTracker:
             StreamError: if a frequency refers to an unknown stream.
         """
         timestamp = self._clock
-        burstiness = self._update_burstiness(timestamp, frequencies)
-
-        points = [
-            WeightedPoint(
-                point=self.locations[sid], weight=value, stream_id=sid
-            )
-            for sid, value in burstiness.items()
-        ]
-        rectangles = r_bursty(points)
-        self.rectangle_history.append(len(rectangles))
-
-        for result in rectangles:
-            members = self._members_of(result.rectangle)
-            if not members:
-                # A memberless rectangle can never score, and tracking
-                # it would canonicalise every such region to the same
-                # frozenset() key, silently merging distinct regions
-                # into one RegionSequence.
-                continue
-            key: Hashable
-            if self.config.key_by_geometry:
-                key = (
-                    result.rectangle.min_x,
-                    result.rectangle.min_y,
-                    result.rectangle.max_x,
-                    result.rectangle.max_y,
-                )
-            else:
-                key = members
-            if key not in self._sequences:
-                self._sequences[key] = RegionSequence(
-                    region=result.rectangle,
-                    stream_ids=members,
-                    start=timestamp,
-                )
-
-        # Append the current r-score to every tracked sequence and prune
-        # the ones whose totals went negative.
-        for key in list(self._sequences):
-            sequence = self._sequences[key]
-            r_score = sequential_sum(
-                burstiness.get(sid, 0.0) for sid in sequence.member_order
-            )
-            sequence.append(r_score)
-            if sequence.total < 0.0:
-                self._archive(sequence)
-                del self._sequences[key]
-
-        self.open_history.append(len(self._sequences))
-        self._clock += 1
-        return len(rectangles)
-
-    def _members_of(self, rectangle: Rectangle) -> FrozenSet[Hashable]:
-        """Streams whose geostamps lie inside a rectangle."""
-        if self._index is not None:
-            return frozenset(self._index.query_rectangle(rectangle))
-        return frozenset(
-            sid
-            for sid, location in self.locations.items()
-            if rectangle.contains_point(location)
-        )
-
-    # ------------------------------------------------------------------
-    def _update_burstiness(
-        self, timestamp: int, frequencies: Mapping[Hashable, float]
-    ) -> Dict[Hashable, float]:
-        """Eq. 7 for every stream with history or a current observation."""
-        for sid in frequencies:
-            if sid not in self.locations:
-                raise StreamError(f"unknown stream {sid!r} in snapshot")
-        burstiness: Dict[Hashable, float] = {}
-        active = set(self._models) | {
-            sid for sid, value in frequencies.items() if value > 0.0
-        }
-        in_warmup = timestamp < self.config.warmup
-        # Fixed evaluation order: downstream float summations (weighted
-        # points, grid cells) then produce bit-identical results in any
-        # process regardless of string-hash randomisation.
-        for sid in sorted(active, key=repr):
-            observed = float(frequencies.get(sid, 0.0))
-            model = self._models.get(sid)
-            if model is None:
-                model = self.config.baseline_factory()
-                self._prime(model, timestamp)
-                self._models[sid] = model
-            if in_warmup:
-                burstiness[sid] = 0.0
-            else:
-                burstiness[sid] = observed - model.expected(timestamp)
-            model.observe(timestamp, observed)
-        if self.config.track_history:
-            for sid, value in burstiness.items():
-                if value != 0.0:
-                    self._history.setdefault(sid, {})[timestamp] = value
-        return burstiness
-
-    @staticmethod
-    def _prime(model: ExpectedFrequencyModel, zeros: int) -> None:
-        """Feed the leading zero observations a lazily-created model missed.
-
-        The paper's default baseline averages over *all* snapshots before
-        ``i``, so the silent zeros before a term's first appearance in a
-        stream must count.
-        """
-        prime = getattr(model, "prime_zeros", None)
-        if prime is not None:
-            prime(zeros)
-            return
-        for j in range(zeros):
-            model.observe(j, 0.0)
-
-    def _archive(self, sequence: RegionSequence) -> None:
-        for timeframe, score in sequence.windows():
-            self._archived.append(
-                (sequence.region, sequence.stream_ids, timeframe, score)
-            )
+        self.advance({timestamp: frequencies}, timestamp + 1)
+        return self.rectangle_history[-1]
 
     # ------------------------------------------------------------------
     def windows(self) -> List[Tuple[Rectangle, FrozenSet[Hashable], Interval, float]]:
@@ -437,32 +285,28 @@ class STLocalTermTracker:
     ) -> Optional[FrozenSet[Hashable]]:
         """Member streams with positive net burstiness over a window.
 
-        Returns ``None`` when history tracking is disabled.
+        One cumsum along the window's matrix slice.  Returns ``None``
+        when history tracking is disabled.
         """
         if not self.config.track_history:
             return None
+        matrix = self._matrix
+        lo = max(timeframe.start - self._first, 0)
+        hi = min(timeframe.end - self._first + 1, matrix.shape[1])
+        # Built with add() in ``streams`` order, so the frozenset
+        # iterates like one built from the member set directly.
         bursty = set()
-        start, end = timeframe.start, timeframe.end
-        frame_length = end - start + 1
-        for sid in streams:
-            history = self._history.get(sid)
-            if history is None:
-                continue
-            # Both walks add the same non-zero values in the same
-            # ascending order (history entries are recorded in
-            # timestamp order and zeros are inert), so take whichever
-            # side is shorter: the timeframe for a narrow window over a
-            # long history, the history for a sparse stream.
-            total = 0.0
-            if len(history) <= frame_length:
-                for timestamp, value in history.items():
-                    if start <= timestamp <= end:
-                        total += value
-            else:
-                for timestamp in timeframe:
-                    total += history.get(timestamp, 0.0)
-            if total > 0.0:
-                bursty.add(sid)
+        row_of = self._row_of
+        members = [sid for sid in streams if sid in row_of]
+        if lo < hi and members:
+            # cumsum adds left to right, the order a per-snapshot walk
+            # over the window adds in (zeros are inert).
+            totals = np.cumsum(
+                matrix[[row_of[sid] for sid in members], lo:hi], axis=1
+            )[:, -1]
+            for sid, positive in zip(members, (totals > 0.0).tolist()):
+                if positive:
+                    bursty.add(sid)
         return frozenset(bursty)
 
     def patterns(self, term: str) -> List[RegionalPattern]:
@@ -500,7 +344,7 @@ class STLocal:
     """Regional spatiotemporal pattern miner (batch façade).
 
     Wraps :class:`STLocalTermTracker` with the paper's offline usage:
-    replay a collection one timestamp at a time per term.
+    run a collection's whole timeline per term.
 
     Args:
         config: Algorithm settings shared by all trackers.
@@ -520,11 +364,10 @@ class STLocal:
         term: str,
         locations: Optional[Dict[Hashable, Point]] = None,
     ) -> STLocalTermTracker:
-        """Replay the whole timeline for one term, returning the tracker."""
+        """Advance a tracker over one term's whole timeline."""
         tensor, locations = _resolve(data, locations)
         tracker = self.tracker(locations)
-        for timestamp in range(tensor.timeline):
-            tracker.process(tensor.slice_at(term, timestamp))
+        tracker.advance(_term_snapshots(tensor, term), tensor.timeline)
         return tracker
 
     def patterns_for_term(
@@ -590,3 +433,21 @@ def _resolve(
                 "locations are required when mining from a FrequencyTensor"
             )
     return tensor, locations
+
+
+def _term_snapshots(tensor, term: str) -> Dict[int, Dict[Hashable, float]]:
+    """Per-timestamp slices of one term, via the fast tensor path.
+
+    Falls back to per-timestamp ``slice_at`` for duck-typed frequency
+    sources (e.g. the synthetic generators) that lack
+    :meth:`~repro.streams.FrequencyTensor.term_snapshots`.
+    """
+    fast = getattr(tensor, "term_snapshots", None)
+    if fast is not None:
+        return fast(term)
+    snapshots: Dict[int, Dict[Hashable, float]] = {}
+    for timestamp in range(tensor.timeline):
+        snapshot = tensor.slice_at(term, timestamp)
+        if snapshot:
+            snapshots[timestamp] = snapshot
+    return snapshots

@@ -9,7 +9,7 @@ maintained incrementally:
 * **patterns** are lazily re-mined per term through an
   :class:`~repro.pipeline.incremental.IncrementalFeeder` — a term's
   first sync builds its durable
-  :class:`~repro.columnar.sweep.ColumnarTermTracker` with the batch
+  :class:`~repro.core.stlocal.STLocalTermTracker` with the batch
   miner's columnar sweep, later syncs sweep the newly sealed
   snapshots into it, and the open snapshot is previewed on a fork;
 * **posting lists** are one columnar

@@ -6,26 +6,20 @@ documents continuously and must keep per-term trackers current without
 rescanning history.  This module provides that feed path:
 
 * one durable tracker per term, advanced through the *sealed* prefix of
-  the timeline (timestamps no future document can touch).  With the
-  paper-default baseline it is a
-  :class:`~repro.columnar.sweep.ColumnarTermTracker`: the term's first
-  advance runs the batch miner's columnar sweep over its sealed slices
-  (skipping the quiet prefix), and every later advance extends the
-  same arrays over the snapshots sealed since with the same sweep
-  phases — one vectorised pass per advance, never one ``process`` call
-  per snapshot.  Every tracker shares the feeder's one
-  :class:`~repro.columnar.sweep.LocationStore`.  A custom
-  ``baseline_factory`` (which the columnar tracker does not represent)
-  keeps the object tracker, which replays each snapshot with
-  ``process`` after a :meth:`~repro.core.stlocal.STLocalTermTracker.
-  fast_forward` over the quiet prefix;
+  the timeline (timestamps no future document can touch).  The term's
+  first advance runs the batch miner's columnar sweep over its sealed
+  slices (skipping the quiet prefix), and every later advance extends
+  the same arrays — and, for a custom ``baseline_factory``, copies of
+  the same expectation models — over the snapshots sealed since: one
+  sweep per advance, for every configuration.  Every tracker shares
+  the feeder's one :class:`~repro.columnar.sweep.LocationStore`;
 * :meth:`IncrementalFeeder.preview` — a fork of the durable tracker
   advanced through the still-open snapshots, so queries see patterns
   that include the freshest data while the durable tracker stays
   rewindable at its sealed checkpoint (open snapshots can still gain
-  documents, and a tracker cannot reprocess a snapshot).  A columnar
-  fork shares the durable tracker's arrays; the preview's advance
-  builds its own.
+  documents, and a tracker cannot reprocess a snapshot).  A fork
+  shares the durable tracker's arrays and models; the preview's
+  advance builds its own.
 
 Because a pristine tracker is rebuilt from the term's slices alone, the
 durable trackers are derived state: a live checkpoint does not persist
@@ -39,15 +33,10 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional
 
-from repro.columnar.sweep import (
-    ColumnarTermTracker,
-    LocationStore,
-    TermSnapshots,
-    columnar_supported,
-)
+from repro.columnar.sweep import LocationStore
 from repro.core.config import STLocalConfig
 from repro.core.patterns import RegionalPattern
-from repro.core.stlocal import STLocalTermTracker
+from repro.core.stlocal import STLocalTermTracker, TermSnapshots
 from repro.errors import StreamError
 from repro.spatial.geometry import Point
 
@@ -68,12 +57,11 @@ class IncrementalFeeder:
         locations: Dict[Hashable, Point],
         config: Optional[STLocalConfig] = None,
     ) -> None:
-        # One location store (coordinate columns, spatial index,
-        # membership memo) shared by every tracker and every sweep.
+        # One location store (coordinate columns, membership memo)
+        # shared by every tracker and every sweep.
         self._store = LocationStore(locations)
         self.locations = self._store.locations
         self.config = config if config is not None else STLocalConfig()
-        self._columnar = columnar_supported(self.config)
         self._trackers: Dict[str, STLocalTermTracker] = {}
 
     # ------------------------------------------------------------------
@@ -81,15 +69,7 @@ class IncrementalFeeder:
         """The durable tracker of a term (created pristine on demand)."""
         tracker = self._trackers.get(term)
         if tracker is None:
-            if self._columnar:
-                tracker = ColumnarTermTracker(self._store, self.config)
-            else:
-                tracker = STLocalTermTracker(
-                    self.locations,
-                    config=self.config,
-                    index=self._store.index,
-                    copy_locations=False,
-                )
+            tracker = STLocalTermTracker(self._store, self.config)
             self._trackers[term] = tracker
         return tracker
 

@@ -40,18 +40,11 @@ def split_terms(terms: Sequence[str], shards: int) -> List[List[str]]:
     return [list(terms[offset::shards]) for offset in range(shards)]
 
 
-def _mine_shard(
-    kind, stlocal, stcomb, truncate_tails, tensor, terms, locations
-):
+def _mine_shard(kind, stlocal, stcomb, tensor, terms, locations):
     """Worker entry point: mine one shard serially in this process."""
     from repro.pipeline.batch import BatchMiner
 
-    miner = BatchMiner(
-        stlocal=stlocal,
-        stcomb=stcomb,
-        workers=1,
-        truncate_tails=truncate_tails,
-    )
+    miner = BatchMiner(stlocal=stlocal, stcomb=stcomb, workers=1)
     if kind == "regional":
         return miner.mine_regional(tensor, terms, locations)
     return miner.mine_combinatorial(tensor, terms)
@@ -85,8 +78,7 @@ def mine_shards(
         return {}
     if len(shards) <= 1:
         return _mine_shard(
-            kind, miner.stlocal, miner.stcomb, miner.truncate_tails,
-            tensor, list(terms), locations,
+            kind, miner.stlocal, miner.stcomb, tensor, list(terms), locations
         )
     merged: Dict = {}
     with concurrent.futures.ProcessPoolExecutor(
@@ -98,7 +90,6 @@ def mine_shards(
                 kind,
                 miner.stlocal,
                 miner.stcomb,
-                miner.truncate_tails,
                 tensor,
                 shard,
                 locations,

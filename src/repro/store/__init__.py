@@ -13,9 +13,8 @@ Entry points:
 * :func:`save_search_index` / :func:`load_search_engine` — full
   serving snapshots (also reachable as
   :meth:`repro.search.BurstySearchEngine.from_store`);
-* :func:`save_patterns` / :func:`load_patterns` /
-  :func:`load_trackers` — mining output (written by
-  ``BatchMiner.mine_*(save_to=...)``);
+* :func:`save_patterns` / :func:`load_patterns` — mining output
+  (written by ``BatchMiner.mine_*(save_to=...)``);
 * :meth:`repro.live.LiveSearchEngine.checkpoint` / ``restore`` — live
   serving checkpoints (implemented here);
 * :func:`verify_store` — byte-compares a store against a cold rebuild
@@ -32,7 +31,6 @@ from repro.store.format import (
 from repro.store.store import (
     load_patterns,
     load_search_engine,
-    load_trackers,
     open_store,
     save_patterns,
     save_search_index,
@@ -51,7 +49,6 @@ __all__ = [
     "SegmentWriter",
     "load_patterns",
     "load_search_engine",
-    "load_trackers",
     "open_store",
     "restore_live_checkpoint",
     "save_live_checkpoint",

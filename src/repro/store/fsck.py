@@ -20,12 +20,10 @@ archive.
   posting prefix is rebuilt from the store's own documents and mined
   patterns — which is possible precisely because patterns are persisted
   and posting scores are a deterministic function of them;
-* a damaged ``trackers/`` segment on an ``index`` store or on a live
-  checkpoint (older checkpoints carry one; restore never reads it and
-  rebuilds trackers from the documents), or the ``planner/model``
-  segment older stores may carry (nothing reads it any more), is
-  auxiliary: it is quarantined and dropped from the manifest (serving
-  works without it).
+* a damaged ``trackers/`` or ``trackers_streams/`` segment, or the
+  ``planner/model`` segment, which older stores of any kind may carry
+  and nothing reads any more, is auxiliary: the damaged files are
+  quarantined and the segment is dropped from the manifest.
 
 The rewritten manifest is installed through the same atomic
 temp-write → fsync → rename boundary sequence as a fresh save
@@ -265,6 +263,9 @@ class RepairReport:
 #: store — damage there is unrepairable by construction.
 _SOURCE_PREFIXES = ("documents/", "patterns/", "live/")
 
+#: Tracker state older stores carry and nothing reads any more.
+_TRACKER_PREFIXES = ("trackers/", "trackers_streams/")
+
 
 def _quarantine_file(path: str, name: str) -> None:
     """Move one damaged segment file aside, preserving its bytes."""
@@ -309,7 +310,7 @@ def repair_store(path: str) -> RepairReport:
             that cannot be rederived — nothing is mutated in that case.
         StoreError: when posting rebuild is impossible (non-default
             scoring callables, or a ``live`` store's postings are
-            damaged) or a ``patterns`` store's tracker state is.
+            damaged).
     """
     report = fsck_store(path)
     if report.error:
@@ -333,14 +334,12 @@ def repair_store(path: str) -> RepairReport:
             "re-create the store with `repro save`"
         )
     if report.kind != "index" and any(
-        name.startswith("postings/")
-        or (name.startswith("trackers/") and report.kind != "live")
-        for name in damaged
+        name.startswith("postings/") for name in damaged
     ):
         raise StoreError(
             f"cannot repair {report.kind!r} store {path!r}: its posting "
-            "and tracker segments embed live serving state that only "
-            "re-ingestion can reproduce — restore an earlier checkpoint"
+            "segment embeds live serving state that only re-ingestion "
+            "can reproduce — restore an earlier checkpoint"
         )
 
     reader = SegmentReader(path, verify=False)
@@ -350,7 +349,7 @@ def repair_store(path: str) -> RepairReport:
 
     rebuild_postings = any(name.startswith("postings/") for name in damaged)
     drop_planner = "planner/model" in damaged
-    drop_trackers = any(name.startswith("trackers/") for name in damaged)
+    drop_trackers = any(name.startswith(_TRACKER_PREFIXES) for name in damaged)
 
     quarantined: List[str] = []
     for name in damaged:
@@ -378,9 +377,9 @@ def repair_store(path: str) -> RepairReport:
         files = {
             name: entry
             for name, entry in files.items()
-            if not name.startswith("trackers/")
+            if not name.startswith(_TRACKER_PREFIXES)
         }
-        if report.kind == "index":
+        if "trackers" in metadata:
             metadata["trackers"] = False
         dropped.append("trackers")
     # Merge the rebuilt segment entries and re-stamp the lowest

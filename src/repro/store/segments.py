@@ -4,11 +4,11 @@ Each codec pairs an ``encode_*`` (writes into a
 :class:`~repro.store.format.SegmentWriter` under a name prefix) with a
 ``decode_*`` (reads from a :class:`~repro.store.format.SegmentReader`).
 The split follows one rule everywhere: **numeric payloads** — scores,
-tiebreaks, geometry, timestamps, Ruzzo–Tompa state, expectation-model
-sums — live in binary NumPy buffers so every float round-trips bit for
-bit (NaN payloads and subnormals included); **structure** — term names,
-identifier lists, per-term counts — lives in JSON skeletons whose list
-order preserves the in-memory iteration order the algorithms depend on.
+tiebreaks, geometry, timestamps — live in binary NumPy buffers so every
+float round-trips bit for bit (NaN payloads and subnormals included);
+**structure** — term names, identifier lists, per-term counts — lives
+in JSON skeletons whose list order preserves the in-memory iteration
+order the algorithms depend on.
 
 Codecs:
 
@@ -26,13 +26,11 @@ Codecs:
   answers for but no longer exposes to sorted access).
 * **patterns** — :class:`~repro.core.patterns.RegionalPattern` /
   :class:`~repro.core.patterns.CombinatorialPattern` maps.
-* **trackers** — full :class:`~repro.core.stlocal.STLocalTermTracker`
-  streaming state (expectation models, open region sequences with their
-  online Ruzzo–Tompa candidates, archived windows, histories), so a
-  restored tracker keeps consuming snapshots exactly where the saved
-  one stopped.  Only the paper-default
-  :class:`~repro.temporal.baselines.RunningMeanBaseline` has a stable
-  numeric state representation; exotic models are rejected explicitly.
+* **config** — the STLocal settings of live checkpoints and of an
+  index's ``miner_config``.
+
+Stores written before tracker state became derived state also carry
+``trackers/`` (and ``trackers_streams/``) segments; nothing reads them.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from repro.columnar.collection import DocumentColumns
 from repro.columnar.postings import PackedPostingArray, PostingArray
 from repro.core.config import STLocalConfig
 from repro.core.patterns import CombinatorialPattern, RegionalPattern
-from repro.core.stlocal import RegionSequence, STLocalTermTracker
 from repro.errors import StoreCorruptionError, StoreError, StoreIOError
 from repro.faults.io import store_io
 from repro.intervals.interval import Interval
@@ -71,18 +68,14 @@ from repro.store.format import (
     encode_id_column,
 )
 from repro.temporal.baselines import RunningMeanBaseline
-from repro.temporal.max_segments import OnlineMaxSegments
 
 __all__ = [
     "decode_config",
     "decode_patterns",
     "decode_posting_list",
-    "decode_trackers",
     "encode_config",
     "encode_patterns",
     "encode_posting_lists",
-    "encode_trackers",
-    "trackers_persistable",
     "write_document_columns",
     "PostingSegment",
 ]
@@ -825,293 +818,3 @@ def decode_config(payload: Dict[str, Any]) -> STLocalConfig:
         warmup=int(payload["warmup"]),
         track_history=bool(payload["track_history"]),
     )
-
-
-# ----------------------------------------------------------------------
-# Trackers
-# ----------------------------------------------------------------------
-def trackers_persistable(
-    trackers: Dict[str, STLocalTermTracker],
-) -> bool:
-    """True when every tracker's state has a stable binary encoding."""
-    for tracker in trackers.values():
-        try:
-            encode_config(tracker.config)
-        except StoreError:
-            return False
-        for model in tracker._models.values():
-            if type(model) is not RunningMeanBaseline:
-                return False
-    return True
-
-
-def encode_trackers(
-    writer: SegmentWriter,
-    prefix: str,
-    trackers: Dict[str, STLocalTermTracker],
-) -> None:
-    """Persist full streaming state for a map of term trackers.
-
-    Raises:
-        StoreError: when any tracker holds expectation models other
-            than the default :class:`RunningMeanBaseline` (their state
-            has no stable representation).
-    """
-    skeleton: List[Dict[str, Any]] = []
-    config_payload: Optional[Dict[str, Any]] = None
-    rect_history: List[int] = []
-    open_history: List[int] = []
-    model_counts: List[int] = []
-    model_totals: List[float] = []
-    model_priors: List[float] = []
-    seq_geometry: List[Tuple[float, float, float, float]] = []
-    seq_start: List[int] = []
-    seq_cumulative: List[float] = []
-    seq_length: List[int] = []
-    cand_bounds: List[Tuple[int, int]] = []
-    cand_sums: List[Tuple[float, float]] = []
-    arch_geometry: List[Tuple[float, float, float, float]] = []
-    arch_frames: List[Tuple[int, int]] = []
-    arch_scores: List[float] = []
-    hist_timestamps: List[int] = []
-    hist_values: List[float] = []
-
-    for term, tracker in trackers.items():
-        term_config = encode_config(tracker.config)
-        if config_payload is None:
-            config_payload = term_config
-        elif config_payload != term_config:
-            raise StoreError(
-                "trackers with heterogeneous STLocal configurations cannot "
-                "share one store segment"
-            )
-        entry: Dict[str, Any] = {"term": term, "clock": tracker.clock}
-        rect_history.extend(tracker.rectangle_history)
-        open_history.extend(tracker.open_history)
-        entry["rect_history"] = len(tracker.rectangle_history)
-        entry["open_history"] = len(tracker.open_history)
-
-        model_ids = []
-        for sid, model in tracker._models.items():
-            if type(model) is not RunningMeanBaseline:
-                raise StoreError(
-                    f"tracker for term {term!r} holds a "
-                    f"{type(model).__name__} expectation model; only the "
-                    "default RunningMeanBaseline state is persistable"
-                )
-            _check_json_id(sid)
-            model_ids.append(sid)
-            model_counts.append(model._count)
-            model_totals.append(model._total)
-            model_priors.append(model._prior)
-        entry["models"] = model_ids
-
-        sequences = []
-        for sequence in tracker._sequences.values():
-            region = sequence.region
-            seq_geometry.append(
-                (region.min_x, region.min_y, region.max_x, region.max_y)
-            )
-            seq_start.append(sequence.start)
-            seq_cumulative.append(sequence.tracker._cumulative)
-            seq_length.append(len(sequence.tracker))
-            candidates = sequence.tracker._candidates
-            for candidate in candidates:
-                cand_bounds.append((candidate.start, candidate.end))
-                cand_sums.append((candidate.left_sum, candidate.right_sum))
-            sequences.append(
-                {
-                    "members": _ordered_ids(sequence.stream_ids),
-                    "candidates": len(candidates),
-                }
-            )
-        entry["sequences"] = sequences
-
-        archived = []
-        for region, streams, timeframe, score in tracker._archived:
-            arch_geometry.append(
-                (region.min_x, region.min_y, region.max_x, region.max_y)
-            )
-            arch_frames.append((timeframe.start, timeframe.end))
-            arch_scores.append(score)
-            archived.append({"members": _ordered_ids(streams)})
-        entry["archived"] = archived
-
-        history = []
-        for sid, values in tracker._history.items():
-            _check_json_id(sid)
-            history.append({"stream": sid, "entries": len(values)})
-            for timestamp, value in values.items():
-                hist_timestamps.append(timestamp)
-                hist_values.append(value)
-        entry["history"] = history
-        skeleton.append(entry)
-
-    writer.add_json(
-        f"{prefix}/meta.json",
-        {"config": config_payload, "terms": skeleton},
-    )
-    writer.add_array(
-        f"{prefix}/rect_history.npy", np.asarray(rect_history, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/open_history.npy", np.asarray(open_history, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/model_counts.npy", np.asarray(model_counts, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/model_totals.npy", np.asarray(model_totals, dtype="<f8")
-    )
-    writer.add_array(
-        f"{prefix}/model_priors.npy", np.asarray(model_priors, dtype="<f8")
-    )
-    writer.add_array(
-        f"{prefix}/seq_geometry.npy", np.asarray(seq_geometry, dtype="<f8")
-    )
-    writer.add_array(
-        f"{prefix}/seq_start.npy", np.asarray(seq_start, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/seq_cumulative.npy",
-        np.asarray(seq_cumulative, dtype="<f8"),
-    )
-    writer.add_array(
-        f"{prefix}/seq_length.npy", np.asarray(seq_length, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/cand_bounds.npy", np.asarray(cand_bounds, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/cand_sums.npy", np.asarray(cand_sums, dtype="<f8")
-    )
-    writer.add_array(
-        f"{prefix}/arch_geometry.npy", np.asarray(arch_geometry, dtype="<f8")
-    )
-    writer.add_array(
-        f"{prefix}/arch_frames.npy", np.asarray(arch_frames, dtype="<i8")
-    )
-    writer.add_array(
-        f"{prefix}/arch_scores.npy", np.asarray(arch_scores, dtype="<f8")
-    )
-    writer.add_array(
-        f"{prefix}/hist_timestamps.npy",
-        np.asarray(hist_timestamps, dtype="<i8"),
-    )
-    writer.add_array(
-        f"{prefix}/hist_values.npy", np.asarray(hist_values, dtype="<f8")
-    )
-
-
-def decode_trackers(
-    reader: SegmentReader,
-    prefix: str,
-    locations: Dict[Hashable, Point],
-) -> Tuple[STLocalConfig, Dict[str, STLocalTermTracker]]:
-    """Rebuild term trackers, sharing one location map."""
-    meta = reader.json(f"{prefix}/meta.json")
-    config_payload = meta.get("config")
-    config = (
-        decode_config(config_payload)
-        if config_payload is not None
-        else STLocalConfig()
-    )
-    rect_history = reader.array(f"{prefix}/rect_history.npy").tolist()
-    open_history = reader.array(f"{prefix}/open_history.npy").tolist()
-    model_counts = reader.array(f"{prefix}/model_counts.npy").tolist()
-    model_totals = reader.array(f"{prefix}/model_totals.npy").tolist()
-    model_priors = reader.array(f"{prefix}/model_priors.npy").tolist()
-    seq_geometry = reader.array(f"{prefix}/seq_geometry.npy").tolist()
-    seq_start = reader.array(f"{prefix}/seq_start.npy").tolist()
-    seq_cumulative = reader.array(f"{prefix}/seq_cumulative.npy").tolist()
-    seq_length = reader.array(f"{prefix}/seq_length.npy").tolist()
-    cand_bounds = reader.array(f"{prefix}/cand_bounds.npy").tolist()
-    cand_sums = reader.array(f"{prefix}/cand_sums.npy").tolist()
-    arch_geometry = reader.array(f"{prefix}/arch_geometry.npy").tolist()
-    arch_frames = reader.array(f"{prefix}/arch_frames.npy").tolist()
-    arch_scores = reader.array(f"{prefix}/arch_scores.npy").tolist()
-    hist_timestamps = reader.array(f"{prefix}/hist_timestamps.npy").tolist()
-    hist_values = reader.array(f"{prefix}/hist_values.npy").tolist()
-
-    trackers: Dict[str, STLocalTermTracker] = {}
-    rect_at = open_at = model_at = seq_at = cand_at = arch_at = hist_at = 0
-    for entry in meta["terms"]:
-        tracker = STLocalTermTracker(
-            locations, config=config, copy_locations=False
-        )
-        tracker._clock = int(entry["clock"])
-        tracker.rectangle_history = rect_history[
-            rect_at : rect_at + entry["rect_history"]
-        ]
-        rect_at += entry["rect_history"]
-        tracker.open_history = open_history[
-            open_at : open_at + entry["open_history"]
-        ]
-        open_at += entry["open_history"]
-
-        for sid in entry["models"]:
-            model = RunningMeanBaseline(model_priors[model_at])
-            model._count = int(model_counts[model_at])
-            model._total = float(model_totals[model_at])
-            tracker._models[sid] = model
-            model_at += 1
-
-        for sequence_entry in entry["sequences"]:
-            bounds = seq_geometry[seq_at]
-            region = Rectangle(*(float(v) for v in bounds))
-            members = frozenset(sequence_entry["members"])
-            n_candidates = sequence_entry["candidates"]
-            candidates = [
-                (
-                    int(cand_bounds[cand_at + i][0]),
-                    int(cand_bounds[cand_at + i][1]),
-                    float(cand_sums[cand_at + i][0]),
-                    float(cand_sums[cand_at + i][1]),
-                )
-                for i in range(n_candidates)
-            ]
-            cand_at += n_candidates
-            sequence = RegionSequence(
-                region=region,
-                stream_ids=members,
-                start=int(seq_start[seq_at]),
-                tracker=OnlineMaxSegments.restore(
-                    candidates,
-                    float(seq_cumulative[seq_at]),
-                    int(seq_length[seq_at]),
-                ),
-            )
-            key: Hashable
-            if config.key_by_geometry:
-                key = (region.min_x, region.min_y, region.max_x, region.max_y)
-            else:
-                key = members
-            tracker._sequences[key] = sequence
-            seq_at += 1
-
-        for archived_entry in entry["archived"]:
-            bounds = arch_geometry[arch_at]
-            tracker._archived.append(
-                (
-                    Rectangle(*(float(v) for v in bounds)),
-                    frozenset(archived_entry["members"]),
-                    Interval(
-                        int(arch_frames[arch_at][0]),
-                        int(arch_frames[arch_at][1]),
-                    ),
-                    float(arch_scores[arch_at]),
-                )
-            )
-            arch_at += 1
-
-        for history_entry in entry["history"]:
-            count = history_entry["entries"]
-            tracker._history[history_entry["stream"]] = dict(
-                zip(
-                    hist_timestamps[hist_at : hist_at + count],
-                    hist_values[hist_at : hist_at + count],
-                )
-            )
-            hist_at += count
-        trackers[entry["term"]] = tracker
-    return config, trackers

@@ -4,19 +4,21 @@ Three store *kinds*, all sharing the segment format of
 :mod:`repro.store.format`:
 
 * ``index`` — a complete serving snapshot: document/stream tables,
-  mined patterns, per-term posting columns and (when persistable) the
-  mined tracker state.  :meth:`repro.search.BurstySearchEngine.
-  from_store` cold-starts a query-ready engine from one of these
-  without re-mining anything.
-* ``patterns`` — mining output only (term → patterns, plus tracker
-  state when available): what ``BatchMiner.mine_*(save_to=...)``
-  writes, for pipelines that mine once and score elsewhere.
+  mined patterns and per-term posting columns.
+  :meth:`repro.search.BurstySearchEngine.from_store` cold-starts a
+  query-ready engine from one of these without re-mining anything.
+* ``patterns`` — mining output only (term → patterns): what
+  ``BatchMiner.mine_*(save_to=...)`` writes, for pipelines that mine
+  once and score elsewhere.
 * ``live`` — a :class:`repro.live.LiveSearchEngine` checkpoint:
   arrival-ordered document table, per-term patterns, posting lists and
   versions, watermark and epoch — enough to resume ingestion and
   serving exactly where the saved engine stopped, without replaying
-  the feed.  Tracker state is not stored: a restored engine rebuilds a
-  term's tracker from the documents on the term's first stale sync.
+  the feed.
+
+No kind stores tracker state: a restored engine rebuilds a term's
+tracker from the documents on the term's first stale sync.  The
+``trackers/`` segments older saves wrote are ignored.
 
 ``verify_store`` is the acceptance oracle behind ``repro load
 --verify``: it cold-rebuilds the index from the store's own document
@@ -45,19 +47,15 @@ from repro.store.segments import (
     PostingSegment,
     decode_config,
     decode_patterns,
-    decode_trackers,
     encode_config,
     encode_patterns,
     encode_posting_lists,
-    encode_trackers,
-    trackers_persistable,
     write_document_columns,
 )
 
 __all__ = [
     "load_patterns",
     "load_search_engine",
-    "load_trackers",
     "open_store",
     "save_patterns",
     "save_search_index",
@@ -84,48 +82,17 @@ def save_patterns(
     patterns: Dict[str, Sequence],
     pattern_type: str,
     terms: Optional[Sequence[str]] = None,
-    trackers: Optional[Dict] = None,
-    locations: Optional[Dict] = None,
     metadata: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Persist a mining result (and, when possible, its tracker state).
-
-    Tracker state is stored only when every tracker uses the default
-    persistable expectation model; otherwise the patterns still save
-    and ``metadata["trackers"]`` records the omission.
-    """
+    """Persist a mining result."""
     writer = SegmentWriter(path)
     encode_patterns(writer, "patterns", patterns, pattern_type)
     meta = dict(metadata or {})
     meta["pattern_type"] = pattern_type
     meta["terms"] = list(terms) if terms is not None else list(patterns)
+    # Legacy key: no tracker segment is written any more.
     meta["trackers"] = False
-    if trackers and locations is not None and trackers_persistable(trackers):
-        _write_stream_table(writer, "trackers_streams", locations)
-        encode_trackers(writer, "trackers", trackers)
-        meta["trackers"] = True
     writer.commit("patterns", meta)
-
-
-def _write_stream_table(writer, prefix, locations) -> None:
-    """Persist just a stream table (for tracker-only segments)."""
-    empty = np.zeros(0, dtype="<i8")
-    write_document_columns(
-        writer,
-        prefix,
-        0,
-        locations,
-        DocumentColumns(
-            doc_ids=[],
-            stream_codes=empty,
-            timestamps=empty,
-            term_indptr=np.zeros(1, dtype="<i8"),
-            term_codes=empty,
-            term_counts=empty,
-            vocabulary=[],
-            event_ids={},
-        ),
-    )
 
 
 def load_patterns(path: StoreLike, **open_kwargs) -> Dict[str, List]:
@@ -133,29 +100,6 @@ def load_patterns(path: StoreLike, **open_kwargs) -> Dict[str, List]:
     store = open_store(path, **open_kwargs)
     _, patterns = decode_patterns(store, "patterns")
     return patterns
-
-
-def load_trackers(path: StoreLike, **open_kwargs):
-    """Load persisted tracker state as ``(config, term → tracker)``.
-
-    Raises:
-        StoreError: when the store carries no tracker segment.
-    """
-    store = open_store(path, **open_kwargs)
-    if not store.metadata.get("trackers"):
-        raise StoreError(
-            f"store {store.path!r} holds no tracker state (it was mined "
-            "with a non-persistable baseline, sharded across workers, or "
-            "saved patterns-only)"
-        )
-    prefix = (
-        "trackers_streams" if store.has("trackers_streams/meta.json")
-        else "documents"
-    )
-    from repro.store.collection import DocumentTable
-
-    locations = DocumentTable(store, prefix).locations
-    return decode_trackers(store, "trackers", locations)
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +189,6 @@ def save_search_index(
     engine,
     pattern_type: str,
     terms: Optional[Sequence[str]] = None,
-    trackers: Optional[Dict] = None,
     miner_config=None,
     metadata: Optional[Dict[str, Any]] = None,
     codec: str = "raw",
@@ -261,7 +204,6 @@ def save_search_index(
         terms: The term list that was *requested* for mining (defaults
             to the pattern-bearing terms); recorded so ``--verify`` can
             re-mine the same scope.
-        trackers: Optional mined tracker state to persist alongside.
         miner_config: The :class:`STLocalConfig` / :class:`STCombConfig`
             the patterns were mined with; recorded so ``--verify``
             re-mines under the same settings (defaults assumed when
@@ -303,10 +245,8 @@ def save_search_index(
         "relevance": _callable_fingerprint(engine.relevance),
         "aggregate": _callable_fingerprint(engine.aggregate),
     }
+    # Legacy key: no tracker segment is written any more.
     meta["trackers"] = False
-    if trackers and trackers_persistable(trackers):
-        encode_trackers(writer, "trackers", trackers)
-        meta["trackers"] = True
     writer.commit("index", meta)
 
 

@@ -13,6 +13,7 @@ inputs (in the style of ``tests/test_live_differential.py``) and hold
 the two paths equal at every layer the columnar kernel touches.
 """
 
+import functools
 import random
 
 import numpy as np
@@ -34,22 +35,22 @@ from repro.columnar.kernels import (
     maximal_segment_state,
 )
 from repro.columnar.postings import PostingArray
-from repro.columnar.sweep import ColumnarTermTracker, LocationStore
 from repro.core.config import STLocalConfig
-from repro.core.stlocal import (
-    STLocalTermTracker,
-    _sum_left_to_right,
-    sequential_sum,
-)
+from repro.core.stlocal import STLocalTermTracker
 from repro.intervals.interval import Interval
 from repro.pipeline import IncrementalFeeder
-from repro.pipeline.batch import replay_trackers
 from repro.search import exhaustive_topk, threshold_topk
 from repro.search.inverted_index import Posting
 from repro.spatial.discrepancy import (
     WeightedPoint,
     max_weight_rectangle,
     max_weight_rectangle_bruteforce,
+)
+from repro.temporal.baselines import (
+    EWMABaseline,
+    MovingAverageBaseline,
+    RunningMeanBaseline,
+    SeasonalBaseline,
 )
 from repro.temporal.kleinberg import KleinbergBurstDetector
 from repro.temporal.max_segments import (
@@ -60,6 +61,15 @@ from repro.temporal.max_segments import (
 )
 
 from oracles.postings import PostingList, pairs, reference_log_relevance
+from oracles.stlocal import (
+    ReferenceTermTracker,
+    _sum_left_to_right,
+    assert_trackers_equal,
+    history_of,
+    replay_patterns,
+    replay_trackers,
+    sequential_sum,
+)
 
 # ----------------------------------------------------------------------
 # Corpus generation (seeded, bursty + ambient mixture)
@@ -139,45 +149,46 @@ def build_mixed_shape_corpus(seed, side=6, timeline=30, n_terms=6):
     return collection
 
 
-def replay_patterns(stlocal, tensor, terms, locations, truncate_tails=True):
-    """The per-snapshot replay's patterns, shaped like ``mine_regional``."""
-    trackers = replay_trackers(
-        tensor, terms, locations, stlocal.config, truncate_tails
-    )
-    mined = {}
-    for term in terms:
-        patterns = trackers[term].patterns(term)
-        if patterns:
-            mined[term] = patterns
-    return mined
+class LastValueBaseline:
+    """Expects the previous observation.  It has no ``prime_zeros``, so
+    a model created late is primed by observing the zeros it missed."""
+
+    def __init__(self):
+        self._last = 0.0
+        self._seen = 0
+
+    def expected(self, timestamp):
+        return self._last
+
+    def observe(self, timestamp, value):
+        self._last = value
+        self._seen += 1
 
 
-def assert_trackers_equal(reference, columnar):
-    assert reference.rectangle_history == columnar.rectangle_history
-    assert reference.open_history == columnar.open_history
-    assert reference._clock == columnar._clock
-    assert reference._history == columnar._history
-    assert reference._archived == columnar._archived
-    assert set(reference._sequences) == set(columnar._sequences)
-    for key, ref_seq in reference._sequences.items():
-        col_seq = columnar._sequences[key]
-        assert ref_seq.region == col_seq.region
-        assert ref_seq.start == col_seq.start
-        assert ref_seq.member_order == col_seq.member_order
-        assert ref_seq.tracker._cumulative == col_seq.tracker._cumulative
-        assert ref_seq.tracker._length == col_seq.tracker._length
-        assert [
-            (c.start, c.end, c.left_sum, c.right_sum)
-            for c in ref_seq.tracker._candidates
-        ] == [
-            (c.start, c.end, c.left_sum, c.right_sum)
-            for c in col_seq.tracker._candidates
-        ]
-    assert set(reference._models) == set(columnar._models)
-    for sid, ref_model in reference._models.items():
-        col_model = columnar._models[sid]
-        assert ref_model._count == col_model._count
-        assert ref_model._total == col_model._total
+def seasonal_with_fallback(period):
+    """A seasonal model with its own running-mean fallback."""
+    return SeasonalBaseline(period, RunningMeanBaseline())
+
+
+custom_baselines = st.one_of(
+    st.builds(
+        functools.partial, st.just(MovingAverageBaseline),
+        window=st.integers(1, 5),
+    ),
+    st.builds(
+        functools.partial, st.just(EWMABaseline),
+        alpha=st.sampled_from([0.2, 0.5, 1.0]),
+    ),
+    st.builds(
+        functools.partial, st.just(seasonal_with_fallback),
+        st.integers(2, 5),
+    ),
+    st.builds(
+        functools.partial, st.just(RunningMeanBaseline),
+        prior=st.sampled_from([0.5, 2.0]),
+    ),
+    st.just(LastValueBaseline),
+)
 
 
 class TestMiningDifferential:
@@ -191,16 +202,20 @@ class TestMiningDifferential:
             columnar = BatchMiner(stlocal=stlocal)
             assert repr(
                 columnar.mine_regional(tensor, terms, locations)
-            ) == repr(replay_patterns(stlocal, tensor, terms, locations)), seed
+            ) == repr(
+                replay_patterns(tensor, terms, locations, stlocal.config)
+            ), seed
             for term, tracker in replay_trackers(
                 tensor, terms, locations, stlocal.config
             ).items():
-                columnar_tracker = columnar._columnar_trackers(
+                columnar_tracker = columnar.regional_trackers(
                     tensor, [term], locations
                 )[term]
                 assert_trackers_equal(tracker, columnar_tracker)
 
     def test_geometry_keyed_and_untruncated_sweeps(self):
+        # The sweep stops each term after its last active snapshot; the
+        # replay over the whole timeline must find the same patterns.
         collection = build_corpus(99)
         tensor = FrequencyTensor(collection)
         locations = collection.locations()
@@ -211,14 +226,14 @@ class TestMiningDifferential:
             STLocalConfig(track_history=False),
         ):
             stlocal = STLocal(config)
+            columnar = BatchMiner(stlocal=stlocal).mine_regional(
+                tensor, terms, locations
+            )
             for truncate in (True, False):
-                legacy = replay_patterns(
-                    stlocal, tensor, terms, locations, truncate
+                reference = replay_patterns(
+                    tensor, terms, locations, config, truncate
                 )
-                columnar = BatchMiner(
-                    stlocal=stlocal, truncate_tails=truncate
-                ).mine_regional(tensor, terms, locations)
-                assert repr(columnar) == repr(legacy)
+                assert repr(columnar) == repr(reference)
 
     def test_sweep_built_live_tracker_extends_like_a_replay(self):
         # The live feeder's durable tracker: swept over the sealed
@@ -234,11 +249,11 @@ class TestMiningDifferential:
             for term in sorted(tensor.terms):
                 snapshots = tensor.term_snapshots(term)
                 sealed = (min(snapshots) + max(snapshots)) // 2 + 1
-                replay = STLocalTermTracker(locations, config)
+                replay = ReferenceTermTracker(locations, config)
                 for timestamp in range(sealed):
                     replay.process(dict(snapshots.get(timestamp, {})))
                 durable = feeder.advance(term, snapshots, sealed)
-                assert isinstance(durable, ColumnarTermTracker), term
+                assert isinstance(durable, STLocalTermTracker), term
                 assert_trackers_equal(replay, durable)
 
                 later = min(sealed + 3, timeline)
@@ -265,10 +280,10 @@ class TestMiningDifferential:
         locations = {sid: Point(0.0, 0.0) for sid in ("a", "b", "c")}
         snapshots = {0: {"c": 1e16}, 1: {"a": 1e16, "b": 1.0}}
         config = STLocalConfig(warmup=0)
-        replay = STLocalTermTracker(locations, config)
+        replay = ReferenceTermTracker(locations, config)
         for timestamp in range(3):
             replay.process(dict(snapshots.get(timestamp, {})))
-        swept = ColumnarTermTracker(LocationStore(locations), config)
+        swept = STLocalTermTracker(locations, config)
         swept.advance(snapshots, 3)
         assert_trackers_equal(replay, swept)
         assert [window[2] for window in replay.windows()] == [Interval(0, 0)]
@@ -313,9 +328,9 @@ class TestMiningDifferential:
             )
         )
 
-        replay = STLocalTermTracker(locations, config)
+        replay = ReferenceTermTracker(locations, config)
         replay.advance(snapshots, cuts[0])
-        tracker = ColumnarTermTracker(LocationStore(locations), config)
+        tracker = STLocalTermTracker(locations, config)
         tracker.advance(snapshots, cuts[0])
         assert_trackers_equal(replay, tracker)
         for cut in cuts[1:] + [timeline]:
@@ -350,19 +365,17 @@ class TestMiningDifferential:
         assert sequential_sum(values) == 0.0
         assert np.cumsum(values)[-1] == 0.0
         locations = {"a": Point(0.0, 0.0), "b": Point(1.0, 0.0)}
-        replay = STLocalTermTracker(locations, STLocalConfig(warmup=0))
+        replay = ReferenceTermTracker(locations, STLocalConfig(warmup=0))
         replay._history = {
             "a": dict(enumerate(values)),
             "b": dict(enumerate([1.0] * 9)),
         }
-        columnar = ColumnarTermTracker(
-            LocationStore(locations), STLocalConfig(warmup=0)
-        )
+        columnar = STLocalTermTracker(locations, STLocalConfig(warmup=0))
         columnar._row_ids = ["a", "b"]
         columnar._row_of = {"a": 0, "b": 1}
         columnar._matrix = np.array([values, [1.0] * 9])
         columnar._clock = 9
-        assert columnar._history == replay._history
+        assert history_of(columnar) == replay._history
         streams = frozenset(locations)
         for timeframe in (Interval(0, 8), Interval(0, 7), Interval(1, 8)):
             assert columnar.bursty_members(
@@ -371,6 +384,8 @@ class TestMiningDifferential:
         assert columnar.bursty_members(streams, Interval(0, 8)) == {"b"}
 
     def test_custom_baseline_falls_back_to_reference(self):
+        # A custom baseline takes the sweep too (one model object per
+        # stream) and mines what the reference replay mines.
         from repro.temporal.baselines import EWMABaseline
 
         config = STLocalConfig(baseline_factory=EWMABaseline)
@@ -381,7 +396,73 @@ class TestMiningDifferential:
         stlocal = STLocal(config)
         assert repr(
             BatchMiner(stlocal=stlocal).mine_regional(tensor, terms, locations)
-        ) == repr(replay_patterns(stlocal, tensor, terms, locations))
+        ) == repr(replay_patterns(tensor, terms, locations, stlocal.config))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_custom_baselines_sweep_like_the_replay(self, data):
+        # Every baseline family of Section 4 besides the prefix-sum
+        # default — plus a model with no prime_zeros, which a late
+        # stream must prime by observing zeros — through the batch
+        # miner and through the live feeder's advance/fork/preview.
+        factory = data.draw(custom_baselines, label="baseline")
+        config = STLocalConfig(
+            baseline_factory=factory,
+            warmup=data.draw(st.integers(0, 4), label="warmup"),
+            key_by_geometry=data.draw(st.booleans(), label="geometry"),
+        )
+        collection = build_corpus(
+            data.draw(st.integers(0, 10_000), label="seed"),
+            n_streams=6,
+            timeline=18,
+            n_terms=2,
+        )
+        tensor = FrequencyTensor(collection)
+        locations = collection.locations()
+        terms = sorted(tensor.terms)
+        stlocal = STLocal(config)
+        miner = BatchMiner(stlocal=stlocal)
+
+        # Batch: the sweep stops at each term's last activity; the
+        # replay runs the whole timeline and, truncated, the same span.
+        assert repr(miner.mine_regional(tensor, terms, locations)) == repr(
+            replay_patterns(tensor, terms, locations, config, False)
+        )
+        swept = miner.regional_trackers(tensor, terms, locations)
+        for term, reference in replay_trackers(
+            tensor, terms, locations, config
+        ).items():
+            assert_trackers_equal(reference, swept[term])
+
+        # Live: durable advances at drawn cuts, then a fork previewed
+        # through the end of the timeline.
+        feeder = IncrementalFeeder(locations, config)
+        timeline = tensor.timeline
+        for term in terms:
+            snapshots = tensor.term_snapshots(term)
+            reference = ReferenceTermTracker(locations, config)
+            cuts = sorted(
+                data.draw(
+                    st.lists(st.integers(0, timeline), max_size=3),
+                    label="cuts",
+                )
+            )
+            for cut in cuts:
+                durable = feeder.advance(term, snapshots, cut)
+                reference.advance(snapshots, cut)
+                assert_trackers_equal(reference, durable)
+            durable = feeder.tracker(term)
+            clock = durable.clock
+            sealed = reference.fork()
+            preview = feeder.preview(term, snapshots, timeline)
+            reference.advance(snapshots, timeline)
+            assert_trackers_equal(reference, preview)
+            assert repr(preview.patterns(term)) == repr(
+                reference.patterns(term)
+            )
+            # The preview left the durable tracker where it was.
+            assert durable.clock == clock
+            assert_trackers_equal(sealed, durable)
 
     def test_mixed_shape_corpus_mines_like_the_replay(self, monkeypatch):
         """Terms confined to bands of different heights give the sweep
@@ -408,7 +489,9 @@ class TestMiningDifferential:
                 BatchMiner(stlocal=stlocal).mine_regional(
                     tensor, terms, locations
                 )
-            ) == repr(replay_patterns(stlocal, tensor, terms, locations)), seed
+            ) == repr(
+                replay_patterns(tensor, terms, locations, stlocal.config)
+            ), seed
         assert max(splits) > 1  # some call merged several buckets
 
     @settings(max_examples=25, deadline=None)
@@ -421,7 +504,7 @@ class TestMiningDifferential:
         stlocal = STLocal()
         assert repr(
             BatchMiner(stlocal=stlocal).mine_regional(tensor, terms, locations)
-        ) == repr(replay_patterns(stlocal, tensor, terms, locations))
+        ) == repr(replay_patterns(tensor, terms, locations, stlocal.config))
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro import (
     LiveCollection,
     Point,
     SpatiotemporalCollection,
+    load_patterns,
     save_search_index,
 )
 from repro.errors import (
@@ -48,9 +49,9 @@ from repro.live import LiveSearchEngine
 from repro.store import SegmentReader
 from repro.store.format import SegmentWriter, rewrite_manifest
 from repro.store.fsck import fsck_store, repair_store
-from repro.store.segments import encode_trackers
 
 from oracles.postings import assert_serves_like_oracle
+from oracles.stlocal import add_legacy_tracker_segment
 
 
 def build_collection(seed=7, streams=4, timeline=16):
@@ -79,12 +80,9 @@ def build_collection(seed=7, streams=4, timeline=16):
 
 def build_engine(seed=7):
     collection = build_collection(seed=seed)
-    trackers = BatchMiner().regional_trackers(collection)
-    mined = {
-        term: trackers[term].patterns(term)
-        for term in sorted(collection.vocabulary)
-        if trackers[term].patterns(term)
-    }
+    mined = BatchMiner().mine_regional(
+        collection, sorted(collection.vocabulary)
+    )
     return BurstySearchEngine(collection, mined), mined
 
 
@@ -474,12 +472,7 @@ class TestLegacyLiveTrackers:
         engine = build_live_engine()
         path = str(tmp_path / "ckpt")
         engine.checkpoint(path)
-        reader = SegmentReader(path, verify=True)
-        manifest = dict(reader.manifest)
-        writer = SegmentWriter(path, fresh=False)
-        encode_trackers(writer, "trackers", engine.feeder._trackers)
-        manifest["files"] = {**manifest["files"], **writer._files}
-        rewrite_manifest(path, manifest)
+        add_legacy_tracker_segment(path)
         flip_last_byte(os.path.join(path, "trackers", "meta.json"))
         assert fsck_store(path).exit_code == 1
 
@@ -498,6 +491,35 @@ class TestLegacyLiveTrackers:
         ] == [
             (r.document.doc_id, r.score) for r in engine.search("storm", k=10)
         ]
+
+
+class TestLegacyPatternTrackers:
+    """Regional pattern stores saved before trackers became derived
+    state carry ``trackers/`` and ``trackers_streams/`` segments that
+    nothing reads: damage to either is auxiliary, as on every kind."""
+
+    @pytest.mark.parametrize(
+        "victim", ["trackers/meta.json", "trackers_streams/model_totals.npy"]
+    )
+    def test_repair_drops_both_segments(self, tmp_path, victim):
+        collection = build_collection()
+        path = str(tmp_path / "mined")
+        mined = BatchMiner().mine_regional(collection, save_to=path)
+        add_legacy_tracker_segment(path, ("trackers_streams", "trackers"))
+        flip_last_byte(os.path.join(path, victim))
+        assert fsck_store(path).exit_code == 1
+
+        report = repair_store(path)
+        assert report.quarantined == (victim,)
+        assert report.dropped == ("trackers",)
+        assert report.rebuilt == ()
+        reader = SegmentReader(path, verify=True)
+        assert not [
+            name for name in reader.manifest["files"] if "trackers" in name
+        ]
+        assert reader.metadata["trackers"] is False
+        assert fsck_store(path).exit_code == 0
+        assert load_patterns(path) == mined
 
 
 class TestErrorMessages:

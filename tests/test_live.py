@@ -3,7 +3,6 @@
 import pytest
 
 from repro.columnar.postings import PostingArray
-from repro.columnar.sweep import ColumnarTermTracker
 from repro.core.config import STLocalConfig
 from repro.core.stlocal import STLocalTermTracker
 from repro.errors import SearchError, StreamError
@@ -18,6 +17,8 @@ from repro.temporal.baselines import (
     RunningMeanBaseline,
     SeasonalBaseline,
 )
+
+from oracles.stlocal import ReferenceTermTracker, model_states
 
 
 def make_live(timeline=16, n_streams=4):
@@ -150,11 +151,12 @@ class TestTrackerFork:
     def test_advancing_a_fork_leaves_the_original_untouched(
         self, baseline, columnar
     ):
+        # ``columnar``: the tracker comes from a live feeder, sharing
+        # its location store; otherwise it is built directly.
         locations = {f"s{i}": Point(float(i), 0.0) for i in range(3)}
         config = STLocalConfig(warmup=0, baseline_factory=baseline)
         if columnar:
             tracker = IncrementalFeeder(locations, config).tracker("x")
-            assert isinstance(tracker, ColumnarTermTracker)
         else:
             tracker = STLocalTermTracker(locations, config)
         snapshots = {
@@ -162,25 +164,20 @@ class TestTrackerFork:
             for t in range(7)
         }
         tracker.advance(snapshots, 7)
-        models = tracker._models
-        expected = {sid: model.expected(7) for sid, model in models.items()}
+        models = model_states(tracker)
         patterns = repr(tracker.patterns("x"))
 
         fork = tracker.fork()
         fork.advance({t: {"s0": 9.0, "s2": 5.0} for t in range(7, 12)}, 12)
         assert fork.clock == 12 and tracker.clock == 7
-        assert {
-            sid: model.expected(7) for sid, model in tracker._models.items()
-        } == expected
+        assert model_states(tracker) == models
         assert repr(tracker.patterns("x")) == patterns
         # The original still advances exactly like a cold replay.
         tracker.advance(snapshots, 8)
-        cold = STLocalTermTracker(locations, config)
+        cold = ReferenceTermTracker(locations, config)
         cold.advance(snapshots, 8)
         assert repr(tracker.patterns("x")) == repr(cold.patterns("x"))
-        assert {
-            sid: model.expected(8) for sid, model in tracker._models.items()
-        } == {sid: model.expected(8) for sid, model in cold._models.items()}
+        assert model_states(tracker) == model_states(cold)
 
     def test_fork_of_pristine_tracker_can_fast_forward(self):
         tracker = STLocalTermTracker({"s0": Point(0.0, 0.0)})
@@ -201,7 +198,7 @@ class TestIncrementalFeeder:
         feeder = IncrementalFeeder(locations, STLocalConfig(warmup=1))
         # Commit sealed prefix [0, 5), preview through 7.
         patterns = feeder.mine_term("t", snapshots, sealed=5, through=7)
-        cold = STLocalTermTracker(dict(locations), STLocalConfig(warmup=1))
+        cold = ReferenceTermTracker(locations, STLocalConfig(warmup=1))
         for timestamp in range(7):
             cold.process(snapshots.get(timestamp, {}))
         assert patterns == cold.patterns("t")
@@ -219,7 +216,7 @@ class TestIncrementalFeeder:
         feeder = IncrementalFeeder(locations, STLocalConfig(warmup=1))
         # sealed == through: read the durable tracker directly, no fork.
         patterns = feeder.mine_term("t", snapshots, sealed=5, through=5)
-        cold = STLocalTermTracker(dict(locations), STLocalConfig(warmup=1))
+        cold = ReferenceTermTracker(locations, STLocalConfig(warmup=1))
         for timestamp in range(5):
             cold.process(snapshots.get(timestamp, {}))
         assert patterns == cold.patterns("t")

@@ -30,8 +30,8 @@ from repro import (
     STLocal,
     SpatiotemporalCollection,
 )
-from repro.columnar.sweep import ColumnarTermTracker
 from repro.core.config import STLocalConfig
+from repro.core.stlocal import STLocalTermTracker
 from repro.temporal.baselines import EWMABaseline
 
 TIMELINE = 24
@@ -154,8 +154,8 @@ class TestDifferentialSchedules:
         run_schedule(13, STLocalConfig(warmup=2, track_history=False))
 
     def test_custom_baseline_replays(self):
-        # The sweep only reproduces the running-mean default; any other
-        # baseline must build live trackers by replay and still match.
+        # A custom baseline's live trackers carry one model object per
+        # stream through the same sweep, and must still match.
         run_schedule(41, STLocalConfig(warmup=2, baseline_factory=EWMABaseline))
 
     def test_seeded_schedules_sweep_then_advance(self, monkeypatch):
@@ -163,14 +163,14 @@ class TestDifferentialSchedules:
         # life: swept from pristine on the term's first touch, then
         # extended by later batched advances (and previews of forks).
         calls = []
-        advance = ColumnarTermTracker.advance
+        advance = STLocalTermTracker.advance
 
         def recording_advance(tracker, snapshots, through):
             pristine, clock = tracker.pristine, tracker.clock
             advance(tracker, snapshots, through)
             calls.append((pristine, clock, tracker.clock))
 
-        monkeypatch.setattr(ColumnarTermTracker, "advance", recording_advance)
+        monkeypatch.setattr(STLocalTermTracker, "advance", recording_advance)
         for seed in range(5):
             run_schedule(seed, STLocalConfig(warmup=2))
         assert any(pristine and after > before for pristine, before, after in calls)

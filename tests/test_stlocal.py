@@ -127,33 +127,33 @@ class TestMemberlessRectangles:
     silently merged.  They can never score and must be skipped."""
 
     def test_memberless_rectangles_not_tracked(self, monkeypatch):
-        from repro.core import stlocal as stlocal_module
-        from repro.spatial.discrepancy import MaxRectangleResult
-        from repro.spatial.geometry import Rectangle
+        from repro.columnar import sweep
 
-        real_r_bursty = stlocal_module.r_bursty
+        real_resolve = sweep._resolve_rectangles
         # Two *distinct* rectangles in the empty space between grid
-        # points, returned on alternating snapshots.
+        # points, added to alternating snapshots of every sweep.
         empty_regions = [
-            Rectangle(1.0, 1.0, 2.0, 2.0),
-            Rectangle(21.0, 1.0, 22.0, 2.0),
+            (0.5, 1.0, 1.0, 2.0, 2.0),
+            (0.5, 21.0, 1.0, 22.0, 2.0),
         ]
 
-        def fake_r_bursty(points):
-            results = list(real_r_bursty(points))
-            if points:
-                region = empty_regions[len(results) % 2]
-                results.append(
-                    MaxRectangleResult(
-                        rectangle=region, score=0.5, members=()
-                    )
-                )
+        def resolve_with_empty_regions(plans, batch):
+            results = real_resolve(plans, batch)
+            for plan, rectangles in zip(plans, results):
+                for local in range(plan.end - plan.first + 1):
+                    region = empty_regions[(plan.first + local) % 2]
+                    rectangles.setdefault(local, []).append(region)
             return results
 
-        monkeypatch.setattr(stlocal_module, "r_bursty", fake_r_bursty)
+        monkeypatch.setattr(
+            sweep, "_resolve_rectangles", resolve_with_empty_regions
+        )
         tracker = make_tracker()
         for t in range(6):
             tracker.process({"g0": 4.0})
+        # Every snapshot was handed an empty region.
+        assert len(tracker.rectangle_history) == 6
+        assert min(tracker.rectangle_history) >= 1
         # No sequence may be keyed by the empty member set, and the two
         # distinct empty regions must not have been merged into one.
         assert frozenset() not in tracker._sequences
@@ -229,19 +229,20 @@ class TestSTLocalFacade:
 
 class TestSpatialIndexPath:
     def test_large_stream_count_uses_index(self):
+        # Above the scalar-scan size, membership is one vectorized mask
+        # over the coordinate columns; it must match a linear scan.
         locations = {
             f"s{i}": Point(float(i % 40), float(i // 40)) for i in range(600)
         }
         tracker = STLocalTermTracker(locations, STLocalConfig(warmup=0))
-        assert tracker._index is not None
         tracker.process({"s0": 5.0, "s1": 5.0})
+        tracker.process({"s41": 3.0, "s42": 3.0, "s81": 3.0})
         windows = tracker.windows()
-        assert windows
-        # Membership resolved through the index matches a linear scan.
-        region, streams, _, _ = windows[0]
-        expected = {
-            sid
-            for sid, point in locations.items()
-            if region.contains_point(point)
-        }
-        assert set(streams) == expected
+        assert len(windows) == 2
+        for region, streams, _, _ in windows:
+            expected = {
+                sid
+                for sid, point in locations.items()
+                if region.contains_point(point)
+            }
+            assert set(streams) == expected

@@ -12,8 +12,6 @@ state and loading it back must be *byte*-faithful —
 * reloaded engines return rankings identical to the engine they were
   saved from — and to a cold re-mine of the reloaded corpus — across
   every top-k strategy;
-* restored trackers keep consuming snapshots exactly where the saved
-  ones stopped (windows, histories, expectation models);
 * live checkpoints resume ingestion and serving mid-stream, with
   serving statistics reset (counters must not describe an index they
   never measured).
@@ -46,24 +44,19 @@ from repro.columnar.postings import PostingArray, rank_tiebreak
 from repro.errors import StoreError
 from repro.live import LiveSearchEngine
 from repro.search import InvertedIndex, Posting
-from repro.store import (
-    FORMAT_VERSION,
-    SegmentReader,
-    SegmentWriter,
-    load_trackers,
-)
+from repro.store import FORMAT_VERSION, SegmentReader, SegmentWriter
 from repro.store.format import rewrite_manifest
 from repro.store.segments import (
     PostingSegment,
     decode_patterns,
-    decode_trackers,
+    encode_config,
     encode_patterns,
     encode_posting_lists,
-    encode_trackers,
 )
 
 from oracles.documents import encode_documents
 from oracles.postings import PostingList
+from oracles.stlocal import add_legacy_tracker_segment
 
 
 def ranking(results):
@@ -113,18 +106,10 @@ def saved(request, tmp_path_factory):
     codec = request.param
     collection = build_collection(seed=3)
     terms = sorted(collection.vocabulary)
-    miner = BatchMiner()
-    trackers = miner.regional_trackers(collection)
-    mined = {
-        term: trackers[term].patterns(term)
-        for term in terms
-        if trackers[term].patterns(term)
-    }
+    mined = BatchMiner().mine_regional(collection, terms)
     engine = BurstySearchEngine(collection, mined)
     path = str(tmp_path_factory.mktemp("store") / "index")
-    save_search_index(
-        path, engine, "regional", terms=terms, trackers=trackers, codec=codec
-    )
+    save_search_index(path, engine, "regional", terms=terms, codec=codec)
     return path, engine, mined, codec
 
 
@@ -532,75 +517,42 @@ class TestPackedCodecProperty:
 
 
 class TestTrackerRoundTrip:
-    def test_restored_tracker_resumes_processing(self, tmp_path):
-        """Feeding a restored tracker equals feeding the original."""
-        collection = build_collection(seed=7)
-        from repro.streams import FrequencyTensor
+    """Mining output saves: patterns only — tracker state is derived."""
 
-        tensor = FrequencyTensor(collection)
-        locations = collection.locations()
-        miner = BatchMiner(truncate_tails=False)
-        half = collection.timeline // 2
-        # Mine only the first half of the timeline...
-        from repro.core.stlocal import STLocalTermTracker
-
-        term = "quake"
-        tracker = STLocalTermTracker(locations)
-        snapshots = tensor.term_snapshots(term)
-        for t in range(half):
-            tracker.process(snapshots.get(t, {}))
-        path = str(tmp_path / "trackers")
-        writer = SegmentWriter(path)
-        encode_trackers(writer, "trackers", {term: tracker})
-        writer.commit("patterns")
-        _, restored_map = decode_trackers(
-            SegmentReader(path), "trackers", locations
-        )
-        restored = restored_map[term]
-        assert restored.clock == tracker.clock
-        # ...then continue both through the second half.
-        for t in range(half, collection.timeline):
-            tracker.process(snapshots.get(t, {}))
-            restored.process(snapshots.get(t, {}))
-        assert restored.patterns(term) == tracker.patterns(term)
-        assert restored.rectangle_history == tracker.rectangle_history
-        assert restored.open_history == tracker.open_history
-        assert restored._history == tracker._history
-
-    def test_columnar_tracker_state_round_trips(self, tmp_path):
-        collection = build_collection(seed=9)
-        miner = BatchMiner()
-        trackers = miner.regional_trackers(collection)
-        path = str(tmp_path / "trackers")
-        writer = SegmentWriter(path)
-        encode_trackers(writer, "trackers", dict(trackers))
-        writer.commit("patterns")
-        _, restored = decode_trackers(
-            SegmentReader(path), "trackers", collection.locations()
-        )
-        for term, tracker in trackers.items():
-            assert restored[term].patterns(term) == tracker.patterns(term)
-            assert restored[term].clock == tracker.clock
-
-    def test_custom_baseline_rejected_explicitly(self, tmp_path):
+    def test_custom_baseline_rejected_explicitly(self):
+        # Live checkpoints and miner_config record the STLocal config;
+        # only the paper-default baseline has a persistable form.
         from repro.core.config import STLocalConfig
-        from repro.core.stlocal import STLocalTermTracker
         from repro.temporal.baselines import EWMABaseline
 
         config = STLocalConfig(baseline_factory=EWMABaseline)
-        tracker = STLocalTermTracker({"s": Point(0.0, 0.0)}, config=config)
-        tracker.process({"s": 3.0})
-        writer = SegmentWriter(str(tmp_path / "t"))
         with pytest.raises(StoreError, match="RunningMeanBaseline"):
-            encode_trackers(writer, "trackers", {"x": tracker})
+            encode_config(config)
 
-    def test_mine_save_to_persists_patterns_and_trackers(self, tmp_path):
+    def test_mine_save_to_persists_patterns_only(self, tmp_path):
         collection = build_collection(seed=5)
         path = str(tmp_path / "mined")
         mined = BatchMiner().mine_regional(collection, save_to=path)
         assert load_patterns(path) == mined
-        _, trackers = load_trackers(path)
-        assert set(trackers) == set(collection.vocabulary)
+        reader = SegmentReader(path, verify=True)
+        assert not [
+            name for name in reader.manifest["files"]
+            if name.startswith(("trackers/", "trackers_streams/"))
+        ]
+        assert reader.metadata["trackers"] is False
+
+    def test_legacy_tracker_segments_are_ignored(self, tmp_path):
+        # Regional pattern stores saved before tracker state became
+        # derived carry trackers/ and trackers_streams/ segments;
+        # loading reads neither.
+        collection = build_collection(seed=5)
+        path = str(tmp_path / "mined")
+        mined = BatchMiner().mine_regional(collection, save_to=path)
+        add_legacy_tracker_segment(path, ("trackers_streams", "trackers"))
+        reader = SegmentReader(path, verify=True)
+        assert reader.has("trackers/meta.json")
+        assert reader.metadata["trackers"] is True
+        assert load_patterns(path) == mined
 
     def test_non_scalar_stream_ids_rejected_at_save(self, tmp_path):
         """A store that commits must always load: tuple stream ids (legal
@@ -640,8 +592,7 @@ class TestTrackerRoundTrip:
         path = str(tmp_path / "comb")
         mined = BatchMiner().mine_combinatorial(collection, save_to=path)
         assert load_patterns(path) == mined
-        with pytest.raises(StoreError, match="no tracker state"):
-            load_trackers(path)
+        assert not SegmentReader(path).has("trackers/meta.json")
 
 
 class TestLiveCheckpoint:
@@ -756,10 +707,10 @@ class TestLiveCheckpoint:
             for state in meta["states"]
         ]
         writer = SegmentWriter(path, fresh=False)
-        encode_trackers(writer, "trackers", engine.feeder._trackers)
         writer.add_json("live/meta.json", meta)
         manifest["files"] = {**manifest["files"], **writer._files}
         rewrite_manifest(path, manifest)
+        add_legacy_tracker_segment(path)
         assert SegmentReader(path, verify=True).has("trackers/meta.json")
 
         restored = LiveSearchEngine.from_checkpoint(path)
