@@ -24,9 +24,11 @@ ingestion discipline of a serving system:
   view when asked for, so only mined terms pay for them.
 
 A checkpoint restore adopts a stored table in bulk
-(:meth:`LiveCollection.from_columns`): one stable argsort by term code
-builds every term view, and a restored row becomes a
-:class:`~repro.streams.Document` only when something asks for it.
+(:meth:`LiveCollection.from_columns`): one stable radix argsort of the
+narrowed term codes groups the stored entries by term, and a term's
+view is cut from that grouping only when something first asks for the
+term; a restored row becomes a :class:`~repro.streams.Document` only
+when something asks for it.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    MutableSequence,
     Optional,
     Set,
 )
@@ -116,11 +119,23 @@ class LiveCollection:
         self._stream_codes = array("q")
         self._tiebreaks = array("q")
         self._event_ids: Dict[str, Hashable] = {}
-        self._term_indptr: List[int] = [0]
-        self._term_codes: List[int] = []
-        self._term_counts: List[int] = []
-        # Keyed by term in code order, so the keys are the vocabulary.
+        # The term CSR: lists while ingesting (list.append is the
+        # cheapest append), ``array('q')`` copies of an adopted table's
+        # columns (one bulk copy, no Python int per entry).
+        self._term_indptr: MutableSequence[int] = [0]
+        self._term_codes: MutableSequence[int] = []
+        self._term_counts: MutableSequence[int] = []
+        # Every term, in code order.
+        self._vocabulary: List[str] = []
+        # The views cut so far.  An adopted term (``_stored_code``: term
+        # → code) has its view cut on first use from the term-major
+        # grouping of the stored entries: code c's rows and counts are
+        # ``_grouped_rows``/``_grouped_counts[bounds[c]:bounds[c + 1]]``.
         self._term_views: Dict[str, _TermView] = {}
+        self._stored_code: Dict[str, int] = {}
+        self._grouped_rows = np.zeros(0, dtype=np.int64)
+        self._grouped_counts = np.zeros(0, dtype=np.int64)
+        self._grouped_bounds = np.zeros(1, dtype=np.int64)
         # Rows [0, _stored_rows) were adopted from a stored table and
         # become documents through ``_stored``; later rows are the
         # ingested documents themselves.
@@ -143,7 +158,9 @@ class LiveCollection:
         except that a row becomes a :class:`Document` only when asked
         for, through ``document_at(row)``.  The columns must already be
         consistent (in range, timestamps non-decreasing, ids unique):
-        the store checks them before adopting a checkpoint.
+        the store checks them before adopting a checkpoint.  No term
+        view is built here: each is cut from one term-major grouping of
+        the stored entries when its term is first asked for.
         """
         live = cls(timeline)
         for stream_id, point in locations.items():
@@ -161,28 +178,26 @@ class LiveCollection:
         indptr = np.asarray(columns.term_indptr, dtype=np.int64)
         codes = np.asarray(columns.term_codes, dtype=np.int64)
         counts = np.asarray(columns.term_counts, dtype=np.int64)
-        live._term_indptr = indptr.tolist()
-        live._term_codes = codes.tolist()
-        live._term_counts = counts.tolist()
+        live._term_indptr = _int64_array(indptr)
+        live._term_codes = _int64_array(codes)
+        live._term_counts = _int64_array(counts)
+        live._vocabulary = list(columns.vocabulary)
+        terms = len(live._vocabulary)
+        live._stored_code = dict(zip(live._vocabulary, range(terms)))
         if rows:
             live._watermark = live._timestamps[-1]
 
         # One stable sort groups the entries by term, keeping each
-        # term's rows in arrival order.
-        order = np.argsort(codes, kind="stable")
-        term_rows = np.repeat(np.arange(rows), np.diff(indptr))[order].tolist()
-        term_counts = counts[order].tolist()
-        bounds = np.cumsum(
-            np.bincount(codes, minlength=len(columns.vocabulary))
-        ).tolist()
-        start = 0
-        views = live._term_views
-        for code, term in enumerate(columns.vocabulary):
-            view = views[term] = _TermView(code)
-            end = bounds[code]
-            view.rows = term_rows[start:end]
-            view.counts = term_counts[start:end]
-            start = end
+        # term's rows in arrival order.  The codes are in [0, terms),
+        # so the narrowest unsigned type holding them is exact, and
+        # NumPy sorts 8- and 16-bit keys stably by radix.
+        narrow = codes.astype(np.min_scalar_type(max(terms - 1, 0)))
+        order = np.argsort(narrow, kind="stable")
+        live._grouped_rows = np.repeat(np.arange(rows), np.diff(indptr))[order]
+        live._grouped_counts = counts[order]
+        live._grouped_bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(narrow, minlength=terms)))
+        )
         return live
 
     # ------------------------------------------------------------------
@@ -251,7 +266,12 @@ class LiveCollection:
         for term, count in document.term_counts().items():
             view = views.get(term)
             if view is None:
-                view = views[term] = _TermView(len(views))
+                # A stored term's first touch cuts its view; a new term
+                # takes the next code.
+                view = self._view(term)
+                if view is None:
+                    view = views[term] = _TermView(len(self._vocabulary))
+                    self._vocabulary.append(term)
             term_codes.append(view.code)
             term_counts.append(count)
             view.rows.append(row)
@@ -349,7 +369,7 @@ class LiveCollection:
 
     @property
     def vocabulary(self) -> Set[str]:
-        return set(self._term_views)
+        return set(self._vocabulary)
 
     def locations(self) -> Dict[Hashable, Point]:
         """Stream id → location, in registration order."""
@@ -365,13 +385,27 @@ class LiveCollection:
             term_indptr=np.array(self._term_indptr, dtype=np.int64),
             term_codes=np.array(self._term_codes, dtype=np.int64),
             term_counts=np.array(self._term_counts, dtype=np.int64),
-            vocabulary=list(self._term_views),
+            vocabulary=list(self._vocabulary),
             event_ids=dict(self._event_ids),
         )
 
     # ------------------------------------------------------------------
     # Incremental term views
     # ------------------------------------------------------------------
+    def _view(self, term: str) -> Optional[_TermView]:
+        """The term's view (``None`` for a term no document holds),
+        cut from the adopted grouping when first asked for."""
+        view = self._term_views.get(term)
+        if view is None:
+            code = self._stored_code.get(term)
+            if code is None:
+                return None
+            view = self._term_views[term] = _TermView(code)
+            start, end = self._grouped_bounds[code : code + 2].tolist()
+            view.rows = self._grouped_rows[start:end].tolist()
+            view.counts = self._grouped_counts[start:end].tolist()
+        return view
+
     def term_snapshots(self, term: str) -> Dict[int, Dict[Hashable, float]]:
         """The term's sparse per-timestamp slices.
 
@@ -380,7 +414,7 @@ class LiveCollection:
         ingested since the last call are folded in first, in arrival
         order.
         """
-        view = self._term_views.get(term)
+        view = self._view(term)
         if view is None:
             return {}
         if view.folded < len(view.rows):
@@ -409,17 +443,17 @@ class LiveCollection:
         snapshots cannot create, destroy or rescore a maximal window,
         so per-term caches keyed on this counter stay consistent.
         """
-        view = self._term_views.get(term)
+        view = self._view(term)
         return 0 if view is None else len(view.rows)
 
     def documents_with(self, term: str) -> List[Document]:
         """Documents containing the term, in arrival order."""
-        view = self._term_views.get(term, _TermView(-1))
+        view = self._view(term) or _TermView(-1)
         return [self._document(row) for row in view.rows]
 
     def term_columns(self, term: str) -> TermColumns:
         """The documents containing ``term`` as columns, in arrival order."""
-        view = self._term_views.get(term, _TermView(-1))
+        view = self._view(term) or _TermView(-1)
         rows = np.array(view.rows, dtype=np.int64)
         return TermColumns(
             timestamps=_gather(self._timestamps, rows),

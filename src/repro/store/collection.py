@@ -20,6 +20,13 @@ columnar (memory-mapped) form and materialises:
   one that was saved), so the mutation-staleness machinery of the
   engines behaves identically.
 
+Opening a table walks neither the corpus nor the vocabulary in Python
+beyond what the id columns need (one ``tolist`` each): the numeric
+columns are plain ``ndarray`` views of the frozen maps, a row is cut
+from slices of them, and the doc-id → row map is built in one
+``dict(zip(...))`` on the first lookup by id.  A live restore adopts
+the same columns (:meth:`DocumentTable.columns`).
+
 Materialisation is not a mutation: the documents were always logically
 present, so the collection's ``version`` counter is restored afterwards
 — otherwise the first query after a cold start would look like a
@@ -30,6 +37,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from typing import Dict, Hashable, Iterator, List, Optional
+
+import numpy as np
 
 from repro.columnar.collection import DocumentColumns
 from repro.errors import StoreCorruptionError, StoreError
@@ -144,11 +153,17 @@ class DocumentTable:
         self.doc_ids: List[Hashable] = _read_id_column(
             reader, prefix, "doc_ids", meta["doc_id_kind"]
         )
-        self._stream_codes = reader.array(f"{prefix}/stream_codes.npy")
-        self._timestamps = reader.array(f"{prefix}/timestamps.npy")
-        self._indptr = reader.array(f"{prefix}/term_indptr.npy")
-        self._term_codes = reader.array(f"{prefix}/term_codes.npy")
-        self._term_counts = reader.array(f"{prefix}/term_counts.npy")
+
+        def column(name: str) -> np.ndarray:
+            # A plain ndarray view of the frozen map: indexing a
+            # ``np.memmap`` runs its Python-level ``__getitem__``.
+            return np.asarray(reader.array(f"{prefix}/{name}.npy"))
+
+        self._stream_codes = column("stream_codes")
+        self._timestamps = column("timestamps")
+        self._indptr = column("term_indptr")
+        self._term_codes = column("term_codes")
+        self._term_counts = column("term_counts")
         self.vocabulary: List[str] = list(meta["vocabulary"])
         self._event_ids: Dict[str, Hashable] = meta.get("event_ids", {})
         self._cache: Dict[int, Document] = {}
@@ -173,23 +188,20 @@ class DocumentTable:
 
     def row_of(self, doc_id: Hashable) -> Optional[int]:
         if self._row_of is None:
-            self._row_of = {
-                doc_id: row for row, doc_id in enumerate(self.doc_ids)
-            }
+            self._row_of = dict(zip(self.doc_ids, range(len(self.doc_ids))))
         return self._row_of.get(doc_id)
 
     def document_at(self, row: int) -> Document:
         document = self._cache.get(row)
         if document is None:
+            start, end = self._indptr[row : row + 2].tolist()
             terms: List[str] = []
             vocabulary = self.vocabulary
-            for position in range(
-                int(self._indptr[row]), int(self._indptr[row + 1])
+            for code, count in zip(
+                self._term_codes[start:end].tolist(),
+                self._term_counts[start:end].tolist(),
             ):
-                terms.extend(
-                    [vocabulary[int(self._term_codes[position])]]
-                    * int(self._term_counts[position])
-                )
+                terms.extend([vocabulary[code]] * count)
             document = Document(
                 doc_id=self.doc_ids[row],
                 stream_id=self._stream_ids[int(self._stream_codes[row])],

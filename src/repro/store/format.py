@@ -121,9 +121,14 @@ def encode_id_column(ids: Sequence[Hashable]) -> Dict[str, Any]:
 
 
 def decode_id_column(kind: str, payload) -> List[Hashable]:
-    """Inverse of :func:`encode_id_column`."""
+    """Inverse of :func:`encode_id_column`.
+
+    ``int64`` ids come back as Python ``int`` (``tolist`` converts),
+    never as NumPy scalars, whose ``repr`` differs and would change
+    every :func:`~repro.columnar.postings.rank_tiebreak`.
+    """
     if kind == "int64":
-        return [int(v) for v in payload.tolist()]
+        return np.asarray(payload, dtype="<i8").tolist()
     return list(payload)
 
 

@@ -298,6 +298,47 @@ class TestNonIntDocIds:
         verify_store(path)
 
 
+class TestIntIdColumns:
+    """Stored int ids come back as Python ``int``, never NumPy scalars:
+    ``rank_tiebreak`` hashes ``repr(doc_id)``, and NumPy 2 spells a
+    scalar ``np.int64(5)``, which would move every tiebreak."""
+
+    @staticmethod
+    def assert_python_ints(ids):
+        assert ids and {type(doc_id) for doc_id in ids} == {int}
+
+    def test_decode_id_column(self):
+        from repro.store.format import decode_id_column, encode_id_column
+
+        ids = [5, -3, 2**62, 0]
+        encoded = encode_id_column(ids)
+        assert encoded["kind"] == "int64"
+        decoded = decode_id_column("int64", encoded["array"])
+        self.assert_python_ints(decoded)
+        assert decoded == ids
+        assert list(map(rank_tiebreak, decoded)) == list(
+            map(rank_tiebreak, ids)
+        )
+
+    @pytest.mark.parametrize("codec", ["raw", "packed"])
+    def test_document_and_posting_tables(self, tmp_path, codec):
+        from repro.store.collection import DocumentTable
+
+        collection = build_collection(seed=3)
+        engine = BurstySearchEngine(
+            collection, BatchMiner().mine_regional(collection)
+        )
+        path = str(tmp_path / "index")
+        engine.save(path, codec=codec)
+        reader = SegmentReader(path)
+        doc_ids = DocumentTable(reader, "documents").doc_ids
+        self.assert_python_ints(doc_ids)
+        assert doc_ids == [d.doc_id for d in collection.documents()]
+        table = PostingSegment(reader, "postings")._table
+        self.assert_python_ints(table)
+        assert set(table) <= set(doc_ids)
+
+
 class TestIndexDocumentColumns:
     """An index save writes ``documents/`` from the collection's column
     snapshot; the bytes must be the per-document encoder's."""
@@ -871,6 +912,42 @@ class TestLiveCheckpointColumns:
         assert names == sorted(SegmentReader(again).manifest["files"])
         self.assert_same_files(source, again, names + ["MANIFEST.json"])
 
+    @staticmethod
+    def assert_same_term_answers(restored, live, terms=None):
+        """Every vocabulary term (or those of ``terms``), and one absent
+        term, reads the same from a restored collection as from the one
+        that ingested."""
+
+        def summary(documents):
+            return [
+                (d.doc_id, d.stream_id, d.timestamp, d.term_counts(),
+                 d.event_id)
+                for d in documents
+            ]
+
+        assert restored.vocabulary == live.vocabulary
+        assert restored.document_columns().vocabulary == (
+            live.document_columns().vocabulary
+        )
+        for term in sorted(terms or live.vocabulary) + ["absent"]:
+            assert restored.term_version(term) == live.term_version(term)
+            assert restored.term_snapshots(term) == live.term_snapshots(term)
+            got, want = restored.term_columns(term), live.term_columns(term)
+            for field in (
+                "timestamps",
+                "stream_codes",
+                "frequencies",
+                "tiebreaks",
+                "rows",
+            ):
+                assert np.array_equal(
+                    getattr(got, field), getattr(want, field)
+                ), (term, field)
+            assert list(got.doc_ids) == list(want.doc_ids)
+            assert summary(restored.documents_with(term)) == summary(
+                live.documents_with(term)
+            )
+
     @pytest.mark.parametrize("codec", ["raw", "packed"])
     def test_restored_engine_keeps_ingesting_like_the_uninterrupted_one(
         self, tmp_path, codec
@@ -879,13 +956,20 @@ class TestLiveCheckpointColumns:
         path = str(tmp_path / "ckpt")
         engine.checkpoint(path, codec=codec)
         restored = LiveSearchEngine.from_checkpoint(path)
+        # Restore cuts no term view: each is cut on first use.
+        assert restored.live._term_views == {}
+        # The resumed ingest first touches a stored term ("quake": its
+        # stored rows, then the new row) and a brand-new one ("ash").
+        assert "quake" in live.vocabulary and "ash" not in live.vocabulary
+        for target in (engine, restored):
+            target.live.ingest(
+                Document(10_000, "s1", 20, ("quake", "ash", "quake"))
+            )
+        assert set(restored.live._term_views) == {"quake", "ash"}
+        self.assert_same_term_answers(restored.live, live)
         for target in (engine, restored):
             self.feed(target, target.live, 20, 40, seed=11)
-        for term in self.VOCABULARY:
-            assert restored.live.term_version(term) == live.term_version(term)
-            assert restored.live.term_snapshots(term) == live.term_snapshots(
-                term
-            )
+        self.assert_same_term_answers(restored.live, live)
         queries = self.VOCABULARY + ("storm rain", "flood quake filler")
         for query in queries:
             for k in (3, 10):
@@ -909,6 +993,45 @@ class TestLiveCheckpointColumns:
         names = sorted(SegmentReader(ends["engine"]).manifest["files"])
         self.assert_same_files(
             ends["engine"], ends["restored"], names + ["MANIFEST.json"]
+        )
+
+    @pytest.mark.parametrize("terms", [3, 300, 70_000])
+    def test_from_columns_groups_every_code_width(self, terms):
+        """Vocabularies whose codes sort as uint8, uint16 and uint32."""
+        rng = random.Random(terms)
+        vocabulary = [f"t{code}" for code in range(terms)]
+        live = LiveCollection(10)
+        for i in range(3):
+            live.add_stream(f"s{i}", Point(float(i), 0.0))
+        # The first documents introduce the codes in order, the rest
+        # mention random terms again.
+        documents = [
+            Document(
+                row, f"s{row % 3}", 0, tuple(vocabulary[start : start + 100])
+            )
+            for row, start in enumerate(range(0, terms, 100))
+        ]
+        first = len(documents)
+        documents += [
+            Document(
+                row,
+                f"s{row % 3}",
+                1 + (row - first) // 5,
+                tuple(rng.choices(vocabulary, k=rng.randint(1, 6))),
+            )
+            for row in range(first, first + 40)
+        ]
+        for document in documents:
+            live.ingest(document)
+        restored = LiveCollection.from_columns(
+            live.timeline,
+            live.locations(),
+            live.document_columns(),
+            documents.__getitem__,
+        )
+        probed = {term for d in documents[first:] for term in d.terms}
+        self.assert_same_term_answers(
+            restored, live, probed.union(vocabulary[::997], vocabulary[-2:])
         )
 
     def tampered(self, tmp_path, name, change):
@@ -945,6 +1068,18 @@ class TestLiveCheckpointColumns:
             tmp_path,
             "documents/term_codes.npy",
             self.edit(0, lambda codes: len(self.VOCABULARY)),
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    def test_term_code_past_the_sort_key_width_is_refused(self, tmp_path):
+        # Restore sorts the codes as the narrowest unsigned type holding
+        # the vocabulary (uint8 here), where 65536 + c would wrap to c:
+        # the range check must refuse the code before that cast.
+        path, refused = self.tampered(
+            tmp_path,
+            "documents/term_codes.npy",
+            self.edit(0, lambda codes: 65536 + codes[0]),
         )
         with refused:
             LiveSearchEngine.from_checkpoint(path)
