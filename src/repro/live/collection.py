@@ -176,7 +176,7 @@ class LiveCollection:
         live._tiebreaks = array("q", map(rank_tiebreak, doc_ids))
         live._event_ids = dict(columns.event_ids)
         indptr = np.asarray(columns.term_indptr, dtype=np.int64)
-        codes = np.asarray(columns.term_codes, dtype=np.int64)
+        codes = np.asarray(columns.term_codes)
         counts = np.asarray(columns.term_counts, dtype=np.int64)
         live._term_indptr = _int64_array(indptr)
         live._term_codes = _int64_array(codes)
@@ -189,9 +189,16 @@ class LiveCollection:
 
         # One stable sort groups the entries by term, keeping each
         # term's rows in arrival order.  The codes are in [0, terms),
-        # so the narrowest unsigned type holding them is exact, and
-        # NumPy sorts 8- and 16-bit keys stably by radix.
-        narrow = codes.astype(np.min_scalar_type(max(terms - 1, 0)))
+        # and NumPy sorts 8- and 16-bit keys stably by radix: a v3
+        # store's codes already are the narrowest unsigned type that
+        # holds them and are sorted as stored; older stores' ``<i8``
+        # codes are cast to the narrowest unsigned type holding the
+        # vocabulary.
+        narrow = (
+            codes
+            if codes.dtype.kind == "u"
+            else codes.astype(np.min_scalar_type(max(terms - 1, 0)))
+        )
         order = np.argsort(narrow, kind="stable")
         live._grouped_rows = np.repeat(np.arange(rows), np.diff(indptr))[order]
         live._grouped_counts = counts[order]

@@ -23,9 +23,10 @@ columnar (memory-mapped) form and materialises:
 Opening a table walks neither the corpus nor the vocabulary in Python
 beyond what the id columns need (one ``tolist`` each): the numeric
 columns are plain ``ndarray`` views of the frozen maps, a row is cut
-from slices of them, and the doc-id → row map is built in one
-``dict(zip(...))`` on the first lookup by id.  A live restore adopts
-the same columns (:meth:`DocumentTable.columns`).
+from slices of them, and an int doc id is found by binary search over
+the id list when it ascends, else over one stable argsort of it (JSON
+ids build a doc-id → row dict on the first lookup).  A live restore
+adopts the same columns (:meth:`DocumentTable.columns`).
 
 Materialisation is not a mutation: the documents were always logically
 present, so the collection's ``version`` counter is restored afterwards
@@ -35,8 +36,9 @@ corpus change and throw the freshly-loaded posting segments away.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
-from typing import Dict, Hashable, Iterator, List, Optional
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -138,7 +140,7 @@ class DocumentTable:
 
     def __init__(self, reader, prefix: str) -> None:
         meta = reader.json(f"{prefix}/meta.json")
-        from repro.store.segments import _read_id_column
+        from repro.store.segments import _read_id_column, _read_int_column
 
         self.timeline: int = int(meta["timeline"])
         stream_ids = _read_id_column(
@@ -150,14 +152,18 @@ class DocumentTable:
             sid: Point(x, y) for sid, x, y in zip(stream_ids, xs, ys)
         }
         self._stream_ids = stream_ids
-        self.doc_ids: List[Hashable] = _read_id_column(
-            reader, prefix, "doc_ids", meta["doc_id_kind"]
-        )
+        #: The stored integer id column, or ``None`` for JSON ids.
+        self._id_column: Optional[np.ndarray] = None
+        if meta["doc_id_kind"] == "int64":
+            self._id_column = _read_int_column(reader, f"{prefix}/doc_ids.npy")
+            self.doc_ids: List[Hashable] = self._id_column.tolist()
+        else:
+            self.doc_ids = _read_id_column(
+                reader, prefix, "doc_ids", meta["doc_id_kind"]
+            )
 
         def column(name: str) -> np.ndarray:
-            # A plain ndarray view of the frozen map: indexing a
-            # ``np.memmap`` runs its Python-level ``__getitem__``.
-            return np.asarray(reader.array(f"{prefix}/{name}.npy"))
+            return _read_int_column(reader, f"{prefix}/{name}.npy")
 
         self._stream_codes = column("stream_codes")
         self._timestamps = column("timestamps")
@@ -168,6 +174,9 @@ class DocumentTable:
         self._event_ids: Dict[str, Hashable] = meta.get("event_ids", {})
         self._cache: Dict[int, Document] = {}
         self._row_of: Optional[Dict[Hashable, int]] = None
+        #: The int ids ascending and their rows (``None`` when the
+        #: column already ascends), built on the first lookup by ``int``.
+        self._sorted_ids: Optional[Tuple[List[Any], Optional[List[int]]]] = None
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -187,6 +196,28 @@ class DocumentTable:
         )
 
     def row_of(self, doc_id: Hashable) -> Optional[int]:
+        """The row of ``doc_id`` (the last one, if stored twice), or
+        ``None``: a dict lookup's answer.
+
+        A Python ``int`` is looked up in the int id column by binary
+        search — over the id list itself when the column ascends, as
+        saved collections' ids usually do, else over one stable argsort
+        of it — so no per-id dict is built.  Any other id (a JSON id,
+        or a float equal to an int id) goes through the dict.
+        """
+        if self._id_column is not None and type(doc_id) is int:
+            if self._sorted_ids is None:
+                ids = self._id_column
+                if (ids[1:] > ids[:-1]).all():
+                    self._sorted_ids = (self.doc_ids, None)
+                else:
+                    order = np.argsort(ids, kind="stable")
+                    self._sorted_ids = (ids[order].tolist(), order.tolist())
+            ascending, rows = self._sorted_ids
+            place = bisect_right(ascending, doc_id) - 1
+            if place < 0 or ascending[place] != doc_id:
+                return None
+            return place if rows is None else rows[place]
         if self._row_of is None:
             self._row_of = dict(zip(self.doc_ids, range(len(self.doc_ids))))
         return self._row_of.get(doc_id)

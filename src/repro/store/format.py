@@ -14,10 +14,14 @@ directory without a manifest — never a manifest describing files that
 were not fully written.  Readers refuse directories without a manifest
 and (by default) verify every file's checksum before serving from it.
 
-Arrays are stored in fixed little-endian dtypes (``<i8``/``<i4``/
-``<f8``), so a store written on any host loads on any other, and are
-read back with ``np.load(..., mmap_mode="r")`` — the serving path
-operates directly on the page cache without materialising copies.
+Arrays are stored in fixed little-endian dtypes, so a store written on
+any host loads on any other: floats as ``<f8``, signed integers as
+``<i8``, byte payloads as ``|u1``, and integer code and id columns at
+the narrowest of ``|u1``/``<u2``/``<u4`` that holds their values
+(:func:`narrowest_int_array`; a column with a negative value or one of
+``2**32`` or more stays ``<i8``).  They are read back with
+``np.load(..., mmap_mode="r")`` — the serving path operates directly
+on the page cache without materialising copies.
 
 The manifest also stamps the producing library's ``__version__`` and
 the store ``FORMAT_VERSION``; readers reject stores written by a newer
@@ -49,6 +53,7 @@ __all__ = [
     "check_save_target",
     "decode_id_column",
     "encode_id_column",
+    "narrowest_int_array",
     "rewrite_manifest",
 ]
 
@@ -58,18 +63,46 @@ FORMAT_NAME = "repro-segment-store"
 #: segments, the carrier of the packed posting codec
 #: (:mod:`repro.store.codec`).  Writers stamp the *lowest* version that
 #: can describe what they actually wrote, so a raw store remains a v1
-#: store older readers accept; v2 readers read both.
-FORMAT_VERSION = 2
+#: store older readers accept; v2 readers read both.  v3 stores integer
+#: code and id columns at their narrowest width (``<u2``/``<u4`` arrays
+#: stamp v3) and a ``patterns/`` segment's stream ids as code columns
+#: over one stream-id column instead of JSON lists; v3 readers read
+#: v1 and v2 stores as before.
+FORMAT_VERSION = 3
 MANIFEST_NAME = "MANIFEST.json"
 
 _CHUNK = 1 << 20
 
 #: Canonical little-endian storage dtypes per NumPy kind.  Unsigned
-#: inputs are resolved in :meth:`SegmentWriter.add_array`: single-byte
-#: payloads persist as order-free ``|u1``; wider unsigned arrays are
-#: widened into ``<i8`` only when every value fits — values ≥ 2**63
-#: raise instead of silently wrapping negative.
+#: inputs are resolved in :meth:`SegmentWriter.add_array`: 1-, 2- and
+#: 4-byte arrays persist as ``|u1`` (format v2), ``<u2`` or ``<u4``
+#: (format v3); 8-byte ones are widened into ``<i8`` only when every
+#: value fits — values ≥ 2**63 raise instead of silently wrapping
+#: negative.
 _STORE_DTYPES = {"i": "<i8", "f": "<f8", "b": "|b1"}
+
+#: Unsigned storage dtypes by byte width, with the format version that
+#: introduced each.
+_UNSIGNED_DTYPES = {1: ("|u1", 2), 2: ("<u2", 3), 4: ("<u4", 3)}
+
+
+def narrowest_int_array(values) -> np.ndarray:
+    """An integer column in the narrowest dtype that holds its values.
+
+    ``|u1``, ``<u2`` or ``<u4`` when every value is in ``[0, 2**32)``
+    (an empty column is ``|u1``), ``<i8`` otherwise.  Values are never
+    changed: a reader widening the column gets the same integers back.
+    """
+    array = np.asarray(values, dtype="<i8")
+    if not array.size:
+        return array.astype("|u1")
+    if int(array.min()) < 0:
+        return array
+    high = int(array.max())
+    for dtype, limit in (("|u1", 2**8), ("<u2", 2**16), ("<u4", 2**32)):
+        if high < limit:
+            return array.astype(dtype)
+    return array
 
 
 def _file_crc32(path: str) -> Tuple[int, int]:
@@ -125,7 +158,9 @@ def decode_id_column(kind: str, payload) -> List[Hashable]:
 
     ``int64`` ids come back as Python ``int`` (``tolist`` converts),
     never as NumPy scalars, whose ``repr`` differs and would change
-    every :func:`~repro.columnar.postings.rank_tiebreak`.
+    every :func:`~repro.columnar.postings.rank_tiebreak`.  The kind name
+    is the same for every stored width (``<i8`` and the narrow unsigned
+    columns of format v3).
     """
     if kind == "int64":
         return np.asarray(payload, dtype="<i8").tolist()
@@ -226,8 +261,9 @@ class SegmentWriter:
         """Raise the manifest's stamped format version to ``version``.
 
         Codecs that emit layouts older readers cannot parse (the packed
-        posting codec) call this; a store that never does stays a v1
-        store any reader of this library's history accepts.
+        posting codec, the pattern code columns) call this; a store
+        that never does stays a v1 store any reader of this library's
+        history accepts.
         """
         if version > FORMAT_VERSION:
             raise StoreError(
@@ -275,10 +311,11 @@ class SegmentWriter:
         """Persist one array as ``<name>`` in canonical little-endian form."""
         arr = np.asarray(array)
         if arr.dtype.kind == "u":
-            if arr.dtype.itemsize == 1:
-                # Packed byte payloads: order-free, a v2 layout.
-                store_dtype = "|u1"
-                self.require_version(2)
+            narrow = _UNSIGNED_DTYPES.get(arr.dtype.itemsize)
+            if narrow is not None:
+                # Byte payloads (v2) and narrow code columns (v3).
+                store_dtype, version = narrow
+                self.require_version(version)
             elif arr.size and int(arr.max()) >= 2**63:
                 raise StoreError(
                     f"array segment {name!r} holds unsigned values >= "

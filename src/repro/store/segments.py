@@ -6,9 +6,10 @@ Each codec pairs an ``encode_*`` (writes into a
 The split follows one rule everywhere: **numeric payloads** — scores,
 tiebreaks, geometry, timestamps — live in binary NumPy buffers so every
 float round-trips bit for bit (NaN payloads and subnormals included);
-**structure** — term names, identifier lists, per-term counts — lives
-in JSON skeletons whose list order preserves the in-memory iteration
-order the algorithms depend on.
+**structure** — term names, per-term counts, identifiers that are not
+integers — lives in JSON skeletons whose list order preserves the
+in-memory iteration order the algorithms depend on.  Integer codes and
+ids are columns at their narrowest width.
 
 Codecs:
 
@@ -25,7 +26,9 @@ Codecs:
   :meth:`~repro.columnar.postings.PostingArray.truncated` list still
   answers for but no longer exposes to sorted access).
 * **patterns** — :class:`~repro.core.patterns.RegionalPattern` /
-  :class:`~repro.core.patterns.CombinatorialPattern` maps.
+  :class:`~repro.core.patterns.CombinatorialPattern` maps; stream ids
+  as a CSR of codes into one stream-id column (format v3; earlier
+  stores spell them in the JSON skeleton and still decode).
 * **config** — the STLocal settings of live checkpoints and of an
   index's ``miner_config``.
 
@@ -45,6 +48,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Tuple,
@@ -66,6 +70,7 @@ from repro.store.format import (
     SegmentWriter,
     decode_id_column,
     encode_id_column,
+    narrowest_int_array,
 )
 from repro.temporal.baselines import RunningMeanBaseline
 
@@ -81,42 +86,41 @@ __all__ = [
 ]
 
 
-def _ordered_ids(values) -> List[Hashable]:
-    """Deterministic listing of a set-like of ids (sorted by repr).
+def _id_table(
+    id_sets: Sequence[Iterable[Hashable]],
+) -> Tuple[List[Hashable], Callable[[Hashable], int]]:
+    """One stream-id column for many id sets, and each id's code in it.
 
-    Ids embedded in JSON skeletons must be JSON scalars to survive a
-    round trip (a tuple id would silently decode as a list and break
-    frozenset reconstruction), so non-scalars are rejected at save
+    The column lists every distinct id once, sorted by ``repr``, so a
+    set's codes in ascending order list its ids as
+    ``sorted(ids, key=repr)`` does.  When every id is a ``str``, an
+    ``int`` or ``None`` — the types whose equal values share one
+    ``repr`` — ids are told apart by value.  Any other mix
+    (``1 == 1.0 == True``, ``0.0 == -0.0``) is told apart by type and
+    ``repr``, so each id decodes as the value it was, after every id is
+    checked to be a JSON scalar: ids embedded in a store must survive
+    the round trip (a tuple id would silently decode as a list and
+    break frozenset reconstruction), so non-scalars are refused at save
     time — a store that commits must always load.
-    """
-    ordered = sorted(values, key=repr)
-    for value in ordered:
-        _check_json_id(value)
-    return ordered
-
-
-def _ids_lister(id_sets: Sequence[Iterable[Hashable]]) -> Callable:
-    """:func:`_ordered_ids` for many sets, set up once for all of them.
-
-    When every id is a ``str``, an ``int`` or ``None`` — the types whose
-    equal values share one ``repr`` — each distinct id is ``repr``-ed
-    once, ranked, and every set is sorted by that rank: the same order
-    as sorting by ``repr``, with no per-element check left to do.  Any
-    other mix (``1 == 1.0 == True``, ``0.0 == -0.0``, or an id the
-    check refuses) falls back to :func:`_ordered_ids` per set, which
-    raises at the same id it always did.
     """
     types = set()
     for ids in id_sets:
         types.update(map(type, ids))
-    if not types <= {str, int, type(None)}:
-        return _ordered_ids
-    distinct = dict.fromkeys(itertools.chain.from_iterable(id_sets))
-    reprs = {value: repr(value) for value in distinct}
-    texts = sorted(set(reprs.values()))
-    rank = {text: place for place, text in enumerate(texts)}
-    rank_of = {value: rank[text] for value, text in reprs.items()}.__getitem__
-    return lambda ids: sorted(ids, key=rank_of)
+    if types <= {str, int, type(None)}:
+        distinct = dict.fromkeys(itertools.chain.from_iterable(id_sets))
+        table = sorted(distinct, key=repr)
+        return table, dict(zip(table, range(len(table)))).__getitem__
+    keyed: Dict[Tuple[type, str], Hashable] = {}
+    for value in itertools.chain.from_iterable(id_sets):
+        key = (type(value), repr(value))
+        if key not in keyed:
+            _check_json_id(value)
+            keyed[key] = value
+    keys = sorted(keyed, key=lambda key: (key[1], key[0].__name__))
+    code = dict(zip(keys, range(len(keys))))
+    return [keyed[key] for key in keys], (
+        lambda value: code[(type(value), repr(value))]
+    )
 
 
 def _check_json_id(value: Hashable) -> None:
@@ -129,20 +133,48 @@ def _check_json_id(value: Hashable) -> None:
 
 
 def _write_id_column(writer: SegmentWriter, prefix: str, name: str, ids) -> str:
-    """Persist an id column, returning the kind recorded in the skeleton."""
+    """Persist an id column, returning the kind recorded in the skeleton.
+
+    Integer ids are stored at their narrowest width; the kind name
+    stays ``int64`` for every width.
+    """
     encoded = encode_id_column(ids)
     if encoded["kind"] == "int64":
-        writer.add_array(f"{prefix}/{name}.npy", encoded["array"])
+        writer.add_array(
+            f"{prefix}/{name}.npy", narrowest_int_array(encoded["array"])
+        )
     else:
         writer.add_json(f"{prefix}/{name}.json", encoded["values"])
     return encoded["kind"]
+
+
+def _read_int_column(reader: SegmentReader, name: str) -> np.ndarray:
+    """An integer column as a plain ``ndarray`` view of the frozen map.
+
+    (Indexing a ``np.memmap`` runs its Python-level ``__getitem__``.)
+
+    Raises:
+        StoreCorruptionError: naming the file, when its stored dtype is
+            not an integer kind — a float code would index as garbage
+            or fail far from the cause.
+    """
+    column = np.asarray(reader.array(name))
+    if column.dtype.kind not in "iu":
+        raise StoreCorruptionError(
+            f"store {reader.path!r}: {name} holds {column.dtype} values, "
+            "not integers — the store is corrupted; re-create it with "
+            "`repro save`"
+        )
+    return column
 
 
 def _read_id_column(
     reader: SegmentReader, prefix: str, name: str, kind: str
 ) -> List[Hashable]:
     if kind == "int64":
-        return decode_id_column(kind, reader.array(f"{prefix}/{name}.npy"))
+        return decode_id_column(
+            kind, _read_int_column(reader, f"{prefix}/{name}.npy")
+        )
     return decode_id_column(kind, reader.json(f"{prefix}/{name}.json"))
 
 
@@ -159,6 +191,8 @@ def write_document_columns(
     """Persist a columnar document table plus the stream table.
 
     ``columns.stream_codes`` index ``locations`` in its iteration order.
+    Every integer column, ids included, is stored at its narrowest
+    width (:func:`~repro.store.format.narrowest_int_array`).
     """
     stream_ids = list(locations)
     streams_kind = _write_id_column(writer, prefix, "stream_ids", stream_ids)
@@ -185,7 +219,7 @@ def write_document_columns(
         ("term_codes", columns.term_codes),
         ("term_counts", columns.term_counts),
     ):
-        writer.add_array(f"{prefix}/{name}.npy", np.asarray(column, dtype="<i8"))
+        writer.add_array(f"{prefix}/{name}.npy", narrowest_int_array(column))
     writer.add_json(
         f"{prefix}/meta.json",
         {
@@ -638,23 +672,39 @@ def encode_patterns(
     patterns: Dict[str, Sequence],
     pattern_type: str,
 ) -> None:
-    """Persist a term → patterns map (``regional`` or ``combinatorial``)."""
+    """Persist a term → patterns map (``regional`` or ``combinatorial``).
+
+    Stream ids are stored once, in one stream-id column
+    (``stream_ids``, ranked by ``repr``; see :func:`_id_table`).  Each
+    pattern owns two consecutive entries of one CSR of codes into it
+    (``sets_indptr``/``set_codes``): its stream set, ascending, then
+    its bursty set (regional; ``bursty_none`` flags a ``None``) or its
+    members' ids in member order (combinatorial).  ``meta.json`` keeps
+    the pattern type, the terms in map order and each term's pattern
+    count; frames, scores, geometry and member intervals are columns
+    in pattern order, as before.
+    """
     if pattern_type not in ("regional", "combinatorial"):
         raise StoreError(f"unknown pattern type {pattern_type!r}")
-    skeleton: List[Dict[str, Any]] = []
+    writer.require_version(3)
+    regional = pattern_type == "regional"
     geometry: List[Tuple[float, float, float, float]] = []
     frames: List[Tuple[int, int]] = []
     scores: List[float] = []
     member_frames: List[Tuple[int, int]] = []
     member_scores: List[float] = []
-    ordered = _ids_lister(
+    counts: List[int] = []
+    set_indptr: List[int] = [0]
+    set_codes: List[int] = []
+    bursty_none: List[bool] = []
+    table, code_of = _id_table(
         [
             ids
             for term_patterns in patterns.values()
             for pattern in term_patterns
             for ids in (
                 (pattern.streams, pattern.bursty_streams or ())
-                if pattern_type == "regional"
+                if regional
                 else (
                     pattern.streams,
                     [member[0] for member in pattern.member_intervals],
@@ -662,39 +712,48 @@ def encode_patterns(
             )
         ]
     )
-    for term, term_patterns in patterns.items():
-        entries = []
+    for term_patterns in patterns.values():
+        counts.append(len(term_patterns))
         for pattern in term_patterns:
             frames.append((pattern.timeframe.start, pattern.timeframe.end))
             scores.append(pattern.score)
-            entry: Dict[str, Any] = {"streams": ordered(pattern.streams)}
-            if pattern_type == "regional":
+            set_codes.extend(sorted(map(code_of, pattern.streams)))
+            set_indptr.append(len(set_codes))
+            if regional:
                 region = pattern.region
                 geometry.append(
                     (region.min_x, region.min_y, region.max_x, region.max_y)
                 )
-                entry["bursty"] = (
-                    None
-                    if pattern.bursty_streams is None
-                    else ordered(pattern.bursty_streams)
-                )
+                bursty = pattern.bursty_streams
+                bursty_none.append(bursty is None)
+                if bursty is not None:
+                    set_codes.extend(sorted(map(code_of, bursty)))
             else:
-                members = []
                 for sid, interval, score in pattern.member_intervals:
-                    if ordered is _ordered_ids:
-                        _check_json_id(sid)
+                    set_codes.append(code_of(sid))
                     member_frames.append((interval.start, interval.end))
                     member_scores.append(score)
-                    members.append(sid)
-                entry["members"] = members
-            entries.append(entry)
-        skeleton.append({"term": term, "patterns": entries})
+            set_indptr.append(len(set_codes))
+    stream_kind = _write_id_column(writer, prefix, "stream_ids", table)
     writer.add_json(
-        f"{prefix}/meta.json", {"type": pattern_type, "terms": skeleton}
+        f"{prefix}/meta.json",
+        {
+            "type": pattern_type,
+            "stream_id_kind": stream_kind,
+            "terms": list(patterns),
+            "counts": counts,
+        },
     )
+    writer.add_array(
+        f"{prefix}/sets_indptr.npy", narrowest_int_array(set_indptr)
+    )
+    writer.add_array(f"{prefix}/set_codes.npy", narrowest_int_array(set_codes))
     writer.add_array(f"{prefix}/frames.npy", np.asarray(frames, dtype="<i8"))
     writer.add_array(f"{prefix}/scores.npy", np.asarray(scores, dtype="<f8"))
-    if pattern_type == "regional":
+    if regional:
+        writer.add_array(
+            f"{prefix}/bursty_none.npy", np.asarray(bursty_none, dtype="|u1")
+        )
         writer.add_array(
             f"{prefix}/geometry.npy", np.asarray(geometry, dtype="<f8")
         )
@@ -709,38 +768,130 @@ def encode_patterns(
         )
 
 
+#: Each pattern's term (as ``(term, pattern count)`` pairs), its stream
+#: ids, and its bursty ids (``None`` when flagged) or member ids.
+_PatternIdSets = Tuple[List[Tuple[str, int]], List[List[Hashable]], List[Any]]
+
+
+def _skeleton_id_sets(meta: Dict[str, Any]) -> _PatternIdSets:
+    """A v1/v2 segment's id sets, spelled in its JSON skeleton."""
+    regional = meta["type"] == "regional"
+    terms: List[Tuple[str, int]] = []
+    streams: List[List[Hashable]] = []
+    others: List[Any] = []
+    for term_entry in meta["terms"]:
+        entries = term_entry["patterns"]
+        terms.append((term_entry["term"], len(entries)))
+        for entry in entries:
+            streams.append(entry["streams"])
+            others.append(entry.get("bursty") if regional else entry["members"])
+    return terms, streams, others
+
+
+def _code_id_sets(
+    reader: SegmentReader, prefix: str, meta: Dict[str, Any]
+) -> _PatternIdSets:
+    """A v3 segment's id sets, from its code columns.
+
+    Raises:
+        StoreCorruptionError: naming the file, when the code columns
+            contradict each other or the stream-id column.
+    """
+
+    def refuse(name: str, problem: str) -> NoReturn:
+        raise StoreCorruptionError(
+            f"store {reader.path!r}: {prefix}/{name} {problem}"
+        )
+
+    if len(meta["terms"]) != len(meta["counts"]):
+        refuse("meta.json", "lists terms and pattern counts of different lengths")
+    terms = list(zip(meta["terms"], meta["counts"]))
+    count = sum(meta["counts"])
+    table = _read_id_column(reader, prefix, "stream_ids", meta["stream_id_kind"])
+    indptr = _read_int_column(reader, f"{prefix}/sets_indptr.npy")
+    codes = _read_int_column(reader, f"{prefix}/set_codes.npy")
+    if (
+        len(indptr) != 2 * count + 1
+        or indptr[0] != 0
+        or indptr[-1] != len(codes)
+        or (indptr[1:] < indptr[:-1]).any()
+    ):
+        refuse(
+            "sets_indptr.npy",
+            "is not a non-decreasing offset column of two sets for each "
+            f"of {count} patterns over set_codes",
+        )
+    if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
+        refuse(
+            "set_codes.npy",
+            f"holds a code outside the stream-id column [0, {len(table)})",
+        )
+    ids = list(map(table.__getitem__, codes.tolist()))
+    bounds = indptr.tolist()
+    sets = [ids[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    others: List[Any] = sets[1::2]
+    if meta["type"] == "regional":
+        flags = _read_int_column(reader, f"{prefix}/bursty_none.npy")
+        if len(flags) != count:
+            refuse("bursty_none.npy", f"does not flag {count} patterns")
+        others = [
+            None if flag else bursty
+            for flag, bursty in zip(flags.tolist(), others)
+        ]
+    return terms, sets[0::2], others
+
+
 def decode_patterns(
     reader: SegmentReader, prefix: str
 ) -> Tuple[str, Dict[str, List]]:
-    """Rebuild ``(pattern_type, term → patterns)`` from a segment."""
+    """Rebuild ``(pattern_type, term → patterns)`` from a segment.
+
+    Reads both layouts: the code columns of format v3 and the JSON
+    skeleton of earlier stores (see :func:`encode_patterns`).
+    """
     meta = reader.json(f"{prefix}/meta.json")
     pattern_type: str = meta["type"]
+    regional = pattern_type == "regional"
     # One bulk conversion per column: per-element indexing of a memmap
     # re-enters NumPy on every scalar and dominates cold-start time.
-    frames = reader.array(f"{prefix}/frames.npy").tolist()
+    frames = _read_int_column(reader, f"{prefix}/frames.npy").tolist()
     scores = reader.array(f"{prefix}/scores.npy").tolist()
-    if pattern_type == "regional":
+    if regional:
         geometry = reader.array(f"{prefix}/geometry.npy").tolist()
     else:
-        member_frames = reader.array(f"{prefix}/member_frames.npy").tolist()
+        member_frames = _read_int_column(
+            reader, f"{prefix}/member_frames.npy"
+        ).tolist()
         member_scores = reader.array(f"{prefix}/member_scores.npy").tolist()
+    if "stream_id_kind" in meta:
+        terms, streams, others = _code_id_sets(reader, prefix, meta)
+    else:
+        terms, streams, others = _skeleton_id_sets(meta)
+    columns = [("frames.npy", frames), ("scores.npy", scores)]
+    if regional:
+        columns.append(("geometry.npy", geometry))
+    for name, column in columns:
+        if len(column) != len(streams):
+            raise StoreCorruptionError(
+                f"store {reader.path!r}: {prefix}/{name} has {len(column)} "
+                f"rows for {len(streams)} patterns"
+            )
     patterns: Dict[str, List] = {}
     cursor = 0
     member_cursor = 0
-    for term_entry in meta["terms"]:
-        term = term_entry["term"]
+    for term, pattern_count in terms:
         decoded = []
-        for entry in term_entry["patterns"]:
+        for _ in range(pattern_count):
             frame = Interval(int(frames[cursor][0]), int(frames[cursor][1]))
             score = float(scores[cursor])
-            if pattern_type == "regional":
+            if regional:
                 bounds = geometry[cursor]
-                bursty = entry.get("bursty")
+                bursty = others[cursor]
                 decoded.append(
                     RegionalPattern(
                         term=term,
                         region=Rectangle(*(float(v) for v in bounds)),
-                        streams=frozenset(entry["streams"]),
+                        streams=frozenset(streams[cursor]),
                         timeframe=frame,
                         score=score,
                         bursty_streams=(
@@ -750,7 +901,7 @@ def decode_patterns(
                 )
             else:
                 members = []
-                for sid in entry["members"]:
+                for sid in others[cursor]:
                     members.append(
                         (
                             sid,
@@ -765,7 +916,7 @@ def decode_patterns(
                 decoded.append(
                     CombinatorialPattern(
                         term=term,
-                        streams=frozenset(entry["streams"]),
+                        streams=frozenset(streams[cursor]),
                         timeframe=frame,
                         score=score,
                         member_intervals=tuple(members),

@@ -209,10 +209,10 @@ def save_search_index(
             re-mines under the same settings (defaults assumed when
             omitted).
         metadata: Extra manifest metadata.
-        codec: Posting-column layout — ``"raw"`` (format v1, plain
-            ``<i8``/``<f8`` columns) or ``"packed"`` (format v2,
-            block-compressed; see :mod:`repro.store.codec`).  Decoded
-            postings are byte-identical either way.
+        codec: Posting-column layout — ``"raw"`` (plain
+            ``<i8``/``<f8`` columns) or ``"packed"`` (block-compressed;
+            see :mod:`repro.store.codec`).  Decoded postings are
+            byte-identical either way.
     """
     engine.precompute()
     writer = SegmentWriter(path)
@@ -584,7 +584,10 @@ def _check_live_columns(
     every invariant ingest would have enforced is checked here, one
     vectorised pass per column: offsets and codes in range, timestamps
     inside the timeline and in arrival (non-decreasing) order, unique
-    document ids, and a watermark at or past the last document.
+    document ids, and a watermark at or past the last document.  Order
+    is checked by comparing neighbours, never by ``np.diff``, which
+    wraps instead of going negative on the unsigned columns of a v3
+    store.
 
     Raises:
         StoreCorruptionError: naming the offending file.
@@ -610,7 +613,7 @@ def _check_live_columns(
         len(indptr) != rows + 1
         or indptr[0] != 0
         or indptr[-1] != len(codes)
-        or (np.diff(indptr) < 0).any()
+        or (indptr[1:] < indptr[:-1]).any()
     ):
         refuse(
             "documents/term_indptr.npy",
@@ -637,7 +640,7 @@ def _check_live_columns(
             "documents/timestamps.npy",
             f"holds a timestamp outside the timeline [0, {timeline})",
         )
-    if (np.diff(timestamps) < 0).any():
+    if (timestamps[1:] < timestamps[:-1]).any():
         refuse(
             "documents/timestamps.npy",
             "decreases, but a checkpoint stores documents in arrival order",

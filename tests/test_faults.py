@@ -371,6 +371,34 @@ class TestBitFlipDetection:
         with pytest.raises(StoreCorruptionError, match="source data"):
             repair_store(path)
 
+    @pytest.mark.parametrize(
+        "victim",
+        [
+            "patterns/stream_ids.json",
+            "patterns/sets_indptr.npy",
+            "patterns/set_codes.npy",
+            "patterns/bursty_none.npy",
+            "documents/term_codes.npy",
+        ],
+    )
+    def test_fsck_names_and_repair_refuses_code_column_damage(
+        self, tmp_path, victim
+    ):
+        # The v3 code columns are source data like the rest of
+        # patterns/ and documents/: fsck names the damaged file, and
+        # repair refuses before it touches anything.
+        engine, _ = build_engine()
+        path = str(tmp_path / "idx")
+        save_search_index(path, engine, "regional", codec="packed")
+        assert SegmentReader(path).format_version == 3
+        flip_last_byte(os.path.join(path, victim))
+        report = fsck_store(path)
+        assert report.exit_code == 1
+        assert [f.name for f in report.damaged_files] == [victim]
+        with pytest.raises(StoreCorruptionError, match="source data"):
+            repair_store(path)
+        assert [f.name for f in fsck_store(path).damaged_files] == [victim]
+
     def test_fsck_unreadable_store_exits_2(self, tmp_path):
         report = fsck_store(str(tmp_path / "nowhere"))
         assert report.exit_code == 2

@@ -44,12 +44,31 @@ class TestWriter:
         assert reader.json("a/meta.json") == {"k": 1}
 
     def test_byte_payloads_stamp_current_version(self, tmp_path):
+        # The lowest version that describes a |u1 payload is 2, the
+        # version that introduced it, also under a v3 library.
         writer = SegmentWriter(str(tmp_path / "store"))
         writer.add_array("a/payload.npy", np.arange(5, dtype=np.uint8))
         writer.commit("index", {})
         reader = SegmentReader(str(tmp_path / "store"))
-        assert reader.format_version == FORMAT_VERSION
+        assert reader.format_version == 2 < FORMAT_VERSION
+        assert reader.files()["a/payload.npy"]["dtype"] == "|u1"
         assert reader.array("a/payload.npy").tolist() == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "dtype, stored", [(np.uint16, "<u2"), (np.uint32, "<u4")]
+    )
+    def test_narrow_code_columns_stamp_version3(self, tmp_path, dtype, stored):
+        writer = SegmentWriter(str(tmp_path / "store"))
+        writer.add_array("a/ints.npy", np.arange(5, dtype=np.int64))
+        writer.add_array("a/payload.npy", np.arange(5, dtype=np.uint8))
+        values = [0, 7, int(np.iinfo(dtype).max)]
+        writer.add_array("a/codes.npy", np.asarray(values, dtype=dtype))
+        writer.commit("index", {})
+        reader = SegmentReader(str(tmp_path / "store"))
+        assert reader.format_version == FORMAT_VERSION == 3
+        assert reader.files()["a/codes.npy"]["dtype"] == stored
+        assert reader.files()["a/ints.npy"]["dtype"] == "<i8"
+        assert reader.array("a/codes.npy").tolist() == values
 
     def test_unsigned_overflow_rejected(self, tmp_path):
         # Satellite regression: "u"-kind arrays used to funnel through

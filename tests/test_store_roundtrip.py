@@ -339,6 +339,261 @@ class TestIntIdColumns:
         assert set(table) <= set(doc_ids)
 
 
+class TestNarrowIdColumns:
+    """Int id columns are stored at their narrowest width; every width
+    boundary decodes to the same Python ``int``s, so ``rank_tiebreak``
+    and every ranking are unchanged."""
+
+    BOUNDARIES = [
+        (-1, "<i8"),
+        (0, "|u1"),
+        (255, "|u1"),
+        (256, "<u2"),
+        (65535, "<u2"),
+        (65536, "<u4"),
+        (2**32 - 1, "<u4"),
+        (2**32, "<i8"),
+        (2**63 - 1, "<i8"),
+    ]
+
+    @pytest.mark.parametrize("value, dtype", BOUNDARIES)
+    def test_id_column_round_trips_at_each_width(self, tmp_path, value, dtype):
+        from repro.store.segments import _read_id_column, _write_id_column
+
+        ids = [value, 0] if value else [0]
+        path = str(tmp_path / "ids")
+        writer = SegmentWriter(path)
+        assert _write_id_column(writer, "t", "ids", ids) == "int64"
+        writer.commit("index")
+        reader = SegmentReader(path)
+        assert reader.files()["t/ids.npy"]["dtype"] == dtype
+        decoded = _read_id_column(reader, "t", "ids", "int64")
+        assert [(type(v), v) for v in decoded] == [(int, v) for v in ids]
+        assert list(map(rank_tiebreak, decoded)) == list(
+            map(rank_tiebreak, ids)
+        )
+
+    @pytest.mark.parametrize("codec", ["raw", "packed"])
+    def test_boundary_doc_ids_serve_identically(self, tmp_path, codec):
+        ids = iter(value for value, _ in self.BOUNDARIES)
+        collection = SpatiotemporalCollection(timeline=8)
+        for i in range(3):
+            collection.add_stream(f"s{i}", Point(float(i), 0.0))
+        for t, sid, terms in (
+            (1, "s0", ("quake",)),
+            (2, "s1", ("quake", "quake")),
+            (2, "s2", ("quake", "storm")),
+            (3, "s0", ("storm",)),
+            (4, "s1", ("quake", "storm", "storm")),
+            (5, "s2", ("storm",)),
+            (5, "s0", ("quake",)),
+            (6, "s1", ("filler",)),
+            (7, "s2", ("quake", "filler")),
+        ):
+            collection.add_document(Document(next(ids), sid, t, terms))
+        engine = BurstySearchEngine(
+            collection, BatchMiner().mine_regional(collection)
+        )
+        path = str(tmp_path / "index")
+        engine.save(path, codec=codec)
+        files = SegmentReader(path).files()
+        assert files["documents/doc_ids.npy"]["dtype"] == "<i8"
+        loaded = BurstySearchEngine.from_store(path)
+        for query in ("quake", "storm", "filler", "quake storm"):
+            got = loaded.search(query, k=9)
+            assert ranking(got) == ranking(engine.search(query, k=9))
+            assert all(type(r.document.doc_id) is int for r in got)
+
+
+class TestDocumentTableRowOf:
+    """``row_of`` answers what a doc-id → row dict answers, without
+    building one for int ids."""
+
+    @staticmethod
+    def table(tmp_path, doc_ids):
+        from repro.columnar.collection import DocumentColumns
+        from repro.store.collection import DocumentTable
+        from repro.store.segments import write_document_columns
+
+        path = str(tmp_path / f"table{len(os.listdir(tmp_path))}")
+        rows = len(doc_ids)
+        writer = SegmentWriter(path)
+        write_document_columns(
+            writer,
+            "documents",
+            4,
+            {"s0": Point(0.0, 0.0)},
+            DocumentColumns(
+                doc_ids=doc_ids,
+                stream_codes=np.zeros(rows, dtype=np.int64),
+                timestamps=np.zeros(rows, dtype=np.int64),
+                term_indptr=np.arange(rows + 1, dtype=np.int64),
+                term_codes=np.zeros(rows, dtype=np.int64),
+                term_counts=np.ones(rows, dtype=np.int64),
+                vocabulary=["t"],
+                event_ids={},
+            ),
+        )
+        writer.commit("documents")
+        return DocumentTable(SegmentReader(path), "documents")
+
+    @given(
+        ids=st.lists(
+            st.one_of(
+                st.integers(-5, 300),
+                st.integers(-(2**63), 2**63 - 1),
+            ),
+            max_size=30,
+        ),
+        probes=st.lists(
+            st.one_of(
+                st.integers(-(2**64), 2**64),
+                st.integers(-6, 301),
+                st.floats(-10, 310),
+                st.booleans(),
+                st.text(max_size=2),
+                st.none(),
+            ),
+            max_size=20,
+        ),
+        ordering=st.sampled_from(["as drawn", "ascending", "descending"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_answers_like_the_dict(self, tmp_path_factory, ids, probes, ordering):
+        if ordering != "as drawn":
+            ids = sorted(ids, reverse=ordering == "descending")
+        table = self.table(tmp_path_factory.mktemp("rows"), ids)
+        expected = dict(zip(ids, range(len(ids))))
+        for probe in probes + ids + [max(ids, default=0) + 1]:
+            assert table.row_of(probe) == expected.get(probe), probe
+
+    def test_json_ids_keep_the_dict(self, tmp_path):
+        table = self.table(tmp_path, ["b", 3, "a", None])
+        assert [table.row_of(v) for v in ("a", 3, None, "c", 3.0)] == [
+            2, 1, 3, None, 1,
+        ]
+
+
+class TestStoredCodeColumns:
+    """A code column stored with a float dtype, or a pattern code
+    outside the stream-id column (CRCs re-stamped, so only the reader's
+    own checks can refuse them), is refused typed, naming the file, on
+    cold open and on pattern decode."""
+
+    @staticmethod
+    def as_float(path, name):
+        reader = SegmentReader(path)
+        manifest = dict(reader.manifest)
+        writer = SegmentWriter(path, fresh=False)
+        writer.add_array(name, np.asarray(reader.array(name), dtype="<f8"))
+        manifest["files"] = {**manifest["files"], **writer._files}
+        rewrite_manifest(path, manifest)
+        SegmentReader(path, verify=True)  # the CRCs hold
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "documents/term_codes.npy",
+            "documents/term_indptr.npy",
+            "documents/timestamps.npy",
+            "documents/doc_ids.npy",
+        ],
+    )
+    def test_cold_open_refuses(self, tmp_path, name):
+        from repro.errors import StoreCorruptionError
+
+        collection = build_collection(seed=3)
+        engine = BurstySearchEngine(
+            collection, BatchMiner().mine_regional(collection)
+        )
+        path = str(tmp_path / "index")
+        engine.save(path)
+        self.as_float(path, name)
+        with pytest.raises(StoreCorruptionError, match=name):
+            BurstySearchEngine.from_store(path)
+
+    @staticmethod
+    def combinatorial_store(path):
+        collection = SpatiotemporalCollection(timeline=12)
+        for i in range(3):
+            collection.add_stream(i, Point(float(i), 0.0))
+        doc = 0
+        for t in range(12):
+            for i in range(3):
+                terms = ("quake",) * 4 if t in (6, 7, 8) and i < 2 else ()
+                collection.add_document(Document(doc, i, t, terms + ("x",)))
+                doc += 1
+        mined = BatchMiner().mine_combinatorial(collection, save_to=path)
+        assert load_patterns(path) == mined and mined
+        return path
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "patterns/set_codes.npy",
+            "patterns/sets_indptr.npy",
+            "patterns/frames.npy",
+            "patterns/member_frames.npy",
+            "patterns/stream_ids.npy",
+        ],
+    )
+    def test_pattern_decode_refuses(self, tmp_path, name):
+        from repro.errors import StoreCorruptionError
+
+        path = self.combinatorial_store(str(tmp_path / "comb"))
+        self.as_float(path, name)
+        with pytest.raises(StoreCorruptionError, match=name):
+            load_patterns(path)
+
+    @pytest.mark.parametrize("past", [0, -1])
+    def test_code_outside_the_stream_table_is_refused(self, tmp_path, past):
+        from repro.errors import StoreCorruptionError
+
+        path = self.combinatorial_store(str(tmp_path / "comb"))
+        reader = SegmentReader(path)
+        name = "patterns/set_codes.npy"
+        table = len(reader.array("patterns/stream_ids.npy"))
+        codes = np.array(reader.array(name), dtype="<i8")
+        codes[-1] = table + past if past == 0 else past
+        manifest = dict(reader.manifest)
+        writer = SegmentWriter(path, fresh=False)
+        writer.add_array(name, codes)
+        manifest["files"] = {**manifest["files"], **writer._files}
+        rewrite_manifest(path, manifest)
+        with pytest.raises(StoreCorruptionError, match=name):
+            load_patterns(path)
+
+    def test_set_codes_ascend_within_each_set(self, tmp_path):
+        # Sets are stored as ascending codes (ids in repr order), so a
+        # set's bytes do not depend on its iteration order: here 2, 4,
+        # 10 and 33 iterate in another order than their reprs sort.
+        from repro.core.patterns import RegionalPattern
+        from repro.intervals.interval import Interval
+        from repro.spatial.geometry import Rectangle
+
+        streams = frozenset({33, 10, 4, 2})
+        assert list(streams) != sorted(streams, key=repr)
+        pattern = RegionalPattern(
+            term="quake",
+            region=Rectangle(0.0, 0.0, 1.0, 1.0),
+            streams=streams,
+            timeframe=Interval(1, 2),
+            score=1.0,
+            bursty_streams=frozenset({33, 2}),
+        )
+        path = str(tmp_path / "patterns")
+        writer = SegmentWriter(path)
+        encode_patterns(writer, "patterns", {"quake": [pattern]}, "regional")
+        writer.commit("patterns")
+        reader = SegmentReader(path)
+        assert reader.array("patterns/stream_ids.npy").tolist() == [10, 2, 33, 4]
+        assert reader.array("patterns/sets_indptr.npy").tolist() == [0, 4, 6]
+        assert reader.array("patterns/set_codes.npy").tolist() == [
+            0, 1, 2, 3, 1, 2,
+        ]
+        assert decode_patterns(reader, "patterns")[1] == {"quake": [pattern]}
+
+
 class TestIndexDocumentColumns:
     """An index save writes ``documents/`` from the collection's column
     snapshot; the bytes must be the per-document encoder's."""
@@ -478,23 +733,41 @@ class TestFormatCompat:
         return path, engine, mined
 
     def test_raw_stores_stay_version1(self, tmp_path):
-        """Packed columns bumped ``FORMAT_VERSION`` to 2, but a raw save
-        must keep stamping v1: stores written before the bump and raw
-        stores written after are the *same* artifact, so pre-bump
-        readers keep accepting today's raw output and today's reader
-        keeps accepting pre-bump stores."""
+        """Writers stamp the *lowest* format version that describes what
+        they wrote.  An index save holds narrow document columns and
+        pattern code columns, so it is a v3 store whatever its codec;
+        a raw posting segment over ids that need ``<i8`` holds only
+        ``<i8``/``<f8`` columns and stays a v1 store, which every
+        reader of this library's history accepts."""
         path, engine, mined = self.save(tmp_path, "raw")
-        assert SegmentReader(path).format_version == 1
+        assert SegmentReader(path).format_version == FORMAT_VERSION == 3
         loaded = BurstySearchEngine.from_store(path)
         for term in mined:
             assert ranking(loaded.search(term, k=8)) == ranking(
                 engine.search(term, k=8)
             )
         verify_store(path)
+        assert self.posting_store(tmp_path, "raw").format_version == 1
 
     def test_packed_stores_stamp_version2(self, tmp_path):
         path, _, _ = self.save(tmp_path, "packed")
-        assert SegmentReader(path).format_version == FORMAT_VERSION == 2
+        assert SegmentReader(path).format_version == FORMAT_VERSION == 3
+        # The packed codec's |u1 payloads alone are a v2 layout.
+        assert self.posting_store(tmp_path, "packed").format_version == 2
+
+    @staticmethod
+    def posting_store(tmp_path, codec):
+        """A posting segment whose doc-id table needs ``<i8``."""
+        path = str(tmp_path / f"postings-{codec}")
+        ids = [-1, 2**40, 5]
+        lists = {"t": PostingArray(ids, [3.0, 2.0, 1.0])}
+        writer = SegmentWriter(path)
+        encode_posting_lists(writer, "postings", lists, codec=codec)
+        writer.commit("index")
+        reader = SegmentReader(path)
+        assert reader.files()["postings/doc_table.npy"]["dtype"] == "<i8"
+        assert PostingSegment(reader, "postings").columns("t")[0] == ids
+        return reader
 
 
 class TestPackedCodecProperty:
@@ -1034,7 +1307,7 @@ class TestLiveCheckpointColumns:
             restored, live, probed.union(vocabulary[::997], vocabulary[-2:])
         )
 
-    def tampered(self, tmp_path, name, change):
+    def tampered(self, tmp_path, name, change, keep_dtype=False):
         """A checkpoint whose ``name`` was rewritten by ``change`` (a
         function of the stored value) and whose manifest CRC was
         re-stamped, so only the restore's own checks can refuse it."""
@@ -1049,7 +1322,11 @@ class TestLiveCheckpointColumns:
         if name.endswith(".json"):
             writer.add_json(name, change(reader.json(name)))
         else:
-            writer.add_array(name, change(np.array(reader.array(name))))
+            # Widened first: a narrow column cannot hold every edit
+            # (65536, -1), unless ``keep_dtype`` keeps its stored width.
+            stored = reader.array(name)
+            column = np.array(stored, dtype=stored.dtype if keep_dtype else "<i8")
+            writer.add_array(name, change(column))
         manifest["files"] = {**manifest["files"], **writer._files}
         rewrite_manifest(path, manifest)
         SegmentReader(path, verify=True)  # the CRCs hold
@@ -1116,6 +1393,46 @@ class TestLiveCheckpointColumns:
         with refused:
             LiveSearchEngine.from_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [
+            ("documents/term_indptr.npy", 1, lambda indptr: indptr[2] + 1),
+            ("documents/timestamps.npy", 0, lambda timestamps: timestamps[-1]),
+        ],
+    )
+    def test_decreasing_narrow_column_is_refused(
+        self, tmp_path, name, index, value
+    ):
+        # Kept unsigned, where np.diff would wrap to a large positive
+        # step instead of a negative one.
+        path, refused = self.tampered(
+            tmp_path, name, self.edit(index, value), keep_dtype=True
+        )
+        assert SegmentReader(path).array(name).dtype.kind == "u"
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "documents/term_codes.npy",
+            "documents/term_indptr.npy",
+            "documents/doc_ids.npy",
+            "documents/stream_codes.npy",
+        ],
+    )
+    def test_non_integer_document_column_is_refused(self, tmp_path, name):
+        path, refused = self.tampered(
+            tmp_path, name, lambda column: column.astype("<f8")
+        )
+        with refused:
+            LiveSearchEngine.from_checkpoint(path)
+        # A cold open of an index store refuses it the same way.
+        from repro.store.collection import DocumentTable
+
+        with refused:
+            DocumentTable(SegmentReader(path), "documents")
+
     def test_out_of_timeline_timestamp_is_refused(self, tmp_path):
         path, refused = self.tampered(
             tmp_path, "documents/timestamps.npy", self.edit(-1, lambda _: 40)
@@ -1140,18 +1457,16 @@ class TestLiveCheckpointColumns:
                 "patterns/meta.json",
                 lambda meta: {
                     **meta,
-                    "terms": [
-                        {
-                            **entry,
-                            "patterns": [
-                                {**pattern, "streams": [["s0"]]}
-                                for pattern in entry["patterns"]
-                            ],
-                        }
-                        for entry in meta["terms"]
-                    ],
+                    "counts": [count + 1 for count in meta["counts"]],
                 },
             ),
+            ("patterns/set_codes.npy", lambda codes: codes + 1000),
+            ("patterns/set_codes.npy", lambda codes: codes - 1000),
+            ("patterns/set_codes.npy", lambda codes: codes.astype("<f8")),
+            ("patterns/sets_indptr.npy", lambda indptr: indptr[::-1]),
+            ("patterns/sets_indptr.npy", lambda indptr: indptr[:-1]),
+            ("patterns/bursty_none.npy", lambda flags: flags[:-1]),
+            ("patterns/stream_ids.json", lambda ids: ids[:1]),
         ],
     )
     def test_undecodable_patterns_are_refused_at_first_read(
@@ -1184,9 +1499,10 @@ class TestLiveCheckpointColumns:
 
 
 class TestPatternIdOrder:
-    """``encode_patterns`` ranks every distinct stream id once per call;
-    each set must come out exactly as ``sorted(ids, key=repr)``, which is
-    what the JSON skeleton always held."""
+    """``encode_patterns`` stores every distinct stream id once per call,
+    ranked by ``repr``; a set's codes, ascending, must list its ids
+    exactly as ``sorted(ids, key=repr)``, the order the JSON skeleton
+    of earlier formats held."""
 
     ids = st.one_of(
         st.text(max_size=3),
@@ -1196,23 +1512,33 @@ class TestPatternIdOrder:
         st.floats(allow_nan=True, allow_infinity=False, width=16),
     )
 
+    @staticmethod
+    def listed(table, code_of, ids):
+        return [table[code] for code in sorted(map(code_of, ids))]
+
     @given(
         id_sets=st.lists(st.frozensets(ids, max_size=6), min_size=1, max_size=6)
     )
     @settings(max_examples=150, deadline=None)
     def test_lister_orders_like_sorting_by_repr(self, id_sets):
-        from repro.store.segments import _ids_lister
+        from repro.store.segments import _id_table
 
-        ordered = _ids_lister(id_sets)
+        table, code_of = _id_table(id_sets)
+        assert len(set(map(repr, table))) == len(table)
         for ids in id_sets:
-            assert ordered(ids) == sorted(ids, key=repr)
+            listed = self.listed(table, code_of, ids)
+            # Each id decodes as the value it was: equal and of its type.
+            assert [(type(v), repr(v)) for v in listed] == [
+                (type(v), repr(v)) for v in sorted(ids, key=repr)
+            ]
 
     def test_str_int_and_none_ids_take_the_ranked_path(self):
-        from repro.store.segments import _ids_lister
+        from repro.store.segments import _id_table
 
         sets = [frozenset({"b", 2, None, "a"}), frozenset({10, "10", 1})]
-        ordered = _ids_lister(sets)
-        assert [ordered(ids) for ids in sets] == [
+        table, code_of = _id_table(sets)
+        assert table == sorted({"b", 2, None, "a", 10, "10", 1}, key=repr)
+        assert [self.listed(table, code_of, ids) for ids in sets] == [
             sorted(ids, key=repr) for ids in sets
         ]
 
